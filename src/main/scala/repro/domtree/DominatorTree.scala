@@ -8,13 +8,18 @@ import repro.graph.ProbGraph
   * The tree is computed for the subgraph of `g` induced by an edge predicate
   * (the live edges of one sampled world) restricted to the vertices
   * reachable from `root` — exactly what Algorithm 2 of the paper needs. All
-  * internal state lives in DFS-number ("dfn") space; [[Result]] exposes both
+  * internal state but the vertex → dfn map lives in DFS-number ("dfn")
+  * space, so a [[Workspace]] makes a world cost its reach; [[Result]] exposes both
   * the compact dfn-space arrays (for the subtree-size scan) and an
   * original-id view (for tests).
   */
 object DominatorTree {
 
   /** Dominator tree of one (sampled) graph.
+    *
+    * A result computed with a [[Workspace]] shares its arrays and stays
+    * valid only until the next [[compute]] with that workspace; the arrays
+    * may be longer than `count`, and entries from `count` on are scratch.
     *
     * @param count    number of vertices reachable from the root
     * @param vertexOf original vertex id of each dfn in `0 until count`
@@ -58,83 +63,152 @@ object DominatorTree {
     }
   }
 
-  /** Compute the dominator tree of the subgraph of `g` whose edges satisfy
-    * `keepEdge`, restricted to vertices reachable from `root`.
+  /** Scratch state of [[compute]] for graphs of `n` vertices, reused across
+    * the sampled worlds of one task so that a world costs its reach, not `n`.
+    * Only the vertex → dfn map has `n` entries; it is reset before each
+    * world by walking the previous world's reached vertices. Every other
+    * array is indexed by dfn or by live edge and grows on demand.
     */
-  def compute(g: ProbGraph, root: Int, keepEdge: Int => Boolean): Result = {
-    val n = g.n
-    val dfn = new Array[Int](n)
-    java.util.Arrays.fill(dfn, -1)
-    val vertexOf = new Array[Int](n)
-    val parent = new Array[Int](n) // dfn space
+  final class Workspace(n: Int) {
+    private val dfn = Array.fill(n)(-1)
+    private var reached = 0
+    // Indexed by dfn.
+    private var vertexOf = new Array[Int](16)
+    private var parent = new Array[Int](16)
+    private var nextEdge = new Array[Int](16)
+    private var predOff = new Array[Int](17)
+    private var semi, label, ancestor, dom, bucketHead, bucketNext, chain = new Array[Int](0)
+    // Indexed by live edge, in the order the DFS finds them.
+    private var liveFrom = new Array[Int](16)
+    private var liveTo = new Array[Int](16)
+    private var predSrc = new Array[Int](16)
 
-    // --- Step 1: iterative DFS numbering over live edges --------------------
-    val stackV = new Array[Int](n)
-    val stackE = new Array[Int](n)
-    var sp = 0
-    var cnt = 0
-    dfn(root) = cnt; vertexOf(cnt) = root; parent(0) = 0; cnt += 1
-    stackV(0) = root; stackE(0) = g.offsets(root); sp = 1
-    while (sp > 0) {
-      val u = stackV(sp - 1)
-      var e = stackE(sp - 1)
-      val end = g.offsets(u + 1)
-      var descended = false
-      while (e < end && !descended) {
-        val v = g.targets(e)
-        if (keepEdge(e) && dfn(v) < 0) {
-          stackE(sp - 1) = e + 1
-          dfn(v) = cnt; vertexOf(cnt) = v; parent(cnt) = dfn(u); cnt += 1
-          stackV(sp) = v; stackE(sp) = g.offsets(v); sp += 1
-          descended = true
+    private[DominatorTree] def compute(g: ProbGraph, root: Int, keepEdge: Int => Boolean): Result = {
+      require(g.n == n, s"workspace is for n=$n, graph has n=${g.n}")
+      var i = 0
+      while (i < reached) { dfn(vertexOf(i)) = -1; i += 1 }
+      reached = 0
+      val live = dfs(g, root, keepEdge)
+      val cnt = reached
+      buildPredecessors(cnt, live)
+      lengauerTarjan(cnt)
+      new Result(cnt, vertexOf, dfn, dom)
+    }
+
+    private def visit(v: Int, parentDfn: Int, g: ProbGraph): Int = {
+      val d = reached
+      if (d == vertexOf.length) {
+        val c = 2 * d
+        vertexOf = java.util.Arrays.copyOf(vertexOf, c)
+        parent = java.util.Arrays.copyOf(parent, c)
+        nextEdge = java.util.Arrays.copyOf(nextEdge, c)
+      }
+      dfn(v) = d; vertexOf(d) = v; parent(d) = parentDfn; nextEdge(d) = g.offsets(v)
+      reached += 1
+      d
+    }
+
+    /** Iterative DFS numbering over live edges; tests each out-edge of a
+      * reached vertex exactly once and records the live ones in dfn space.
+      * The DFS stack is the parent chain. Returns the live-edge count.
+      */
+    private def dfs(g: ProbGraph, root: Int, keepEdge: Int => Boolean): Int = {
+      var live = 0
+      var d = visit(root, 0, g)
+      while (d >= 0) {
+        var e = nextEdge(d)
+        val end = g.offsets(vertexOf(d) + 1)
+        var child = -1
+        while (e < end && child < 0) {
+          if (keepEdge(e)) {
+            val v = g.targets(e)
+            var w = dfn(v)
+            if (w < 0) { w = visit(v, d, g); child = w }
+            if (live == liveFrom.length) {
+              liveFrom = java.util.Arrays.copyOf(liveFrom, 2 * live)
+              liveTo = java.util.Arrays.copyOf(liveTo, 2 * live)
+            }
+            liveFrom(live) = d; liveTo(live) = w; live += 1
+          }
+          e += 1
         }
-        e += 1
+        nextEdge(d) = e
+        d = if (child >= 0) child else if (d == 0) -1 else parent(d)
       }
-      if (!descended) { stackE(sp - 1) = e; sp -= 1 }
+      live
     }
 
-    // --- Predecessor lists in dfn space (CSR over live edges) ---------------
-    val predOff = new Array[Int](cnt + 1)
-    var i = 0
-    while (i < cnt) {
-      val u = vertexOf(i)
-      g.foreachOut(u) { (e, v, _) =>
-        if (keepEdge(e) && dfn(v) >= 0) predOff(dfn(v) + 1) += 1
+    /** Predecessor lists in dfn space: CSR of the recorded live edges. */
+    private def buildPredecessors(cnt: Int, live: Int): Unit = {
+      if (predOff.length < cnt + 1) predOff = new Array[Int](vertexOf.length + 1)
+      if (predSrc.length < live) predSrc = new Array[Int](liveFrom.length)
+      java.util.Arrays.fill(predOff, 0, cnt + 1, 0)
+      var k = 0
+      while (k < live) { predOff(liveTo(k) + 1) += 1; k += 1 }
+      var i = 0
+      while (i < cnt) { predOff(i + 1) += predOff(i); i += 1 }
+      // predOff(w + 1) is the end of w's slots: place edges back to front,
+      // moving it down to w's start, then shift every offset down by one.
+      k = live - 1
+      while (k >= 0) {
+        val w = liveTo(k) + 1
+        predOff(w) -= 1
+        predSrc(predOff(w)) = liveFrom(k)
+        k -= 1
       }
-      i += 1
+      i = 0
+      while (i < cnt) { predOff(i) = predOff(i + 1); i += 1 }
+      predOff(cnt) = live
     }
-    i = 0
-    while (i < cnt) { predOff(i + 1) += predOff(i); i += 1 }
-    val predSrc = new Array[Int](predOff(cnt))
-    val cursor = predOff.clone()
-    i = 0
-    while (i < cnt) {
-      val u = vertexOf(i)
-      g.foreachOut(u) { (e, v, _) =>
-        if (keepEdge(e) && dfn(v) >= 0) {
-          val w = dfn(v)
-          predSrc(cursor(w)) = i; cursor(w) += 1
+
+    /** Steps 2-4 of Lengauer-Tarjan with path compression, in dfn space. */
+    private def lengauerTarjan(cnt: Int): Unit = {
+      if (semi.length < cnt) {
+        val c = vertexOf.length
+        semi = new Array[Int](c); label = new Array[Int](c); ancestor = new Array[Int](c)
+        dom = new Array[Int](c); bucketHead = new Array[Int](c); bucketNext = new Array[Int](c)
+        chain = new Array[Int](c)
+      }
+      var i = 0
+      while (i < cnt) {
+        semi(i) = i; label(i) = i; ancestor(i) = -1
+        bucketHead(i) = -1; bucketNext(i) = -1
+        i += 1
+      }
+
+      var w = cnt - 1
+      while (w >= 1) {
+        val p = parent(w)
+        // Step 2: semidominator of w.
+        var j = predOff(w)
+        while (j < predOff(w + 1)) {
+          val u = eval(predSrc(j))
+          if (semi(u) < semi(w)) semi(w) = semi(u)
+          j += 1
         }
+        bucketNext(w) = bucketHead(semi(w)); bucketHead(semi(w)) = w
+        ancestor(w) = p // LINK(parent(w), w)
+        // Step 3: implicitly define idom for the bucket of parent(w).
+        var v = bucketHead(p)
+        bucketHead(p) = -1
+        while (v >= 0) {
+          val nx = bucketNext(v)
+          val u = eval(v)
+          dom(v) = if (semi(u) < semi(v)) u else p
+          v = nx
+        }
+        w -= 1
       }
-      i += 1
+      // Step 4: explicit immediate dominators.
+      dom(0) = 0
+      w = 1
+      while (w < cnt) {
+        if (dom(w) != semi(w)) dom(w) = dom(dom(w))
+        w += 1
+      }
     }
 
-    // --- Steps 2-4: Lengauer-Tarjan with path compression -------------------
-    val semi = new Array[Int](cnt)
-    val label = new Array[Int](cnt)
-    val ancestor = new Array[Int](cnt)
-    val dom = new Array[Int](cnt)
-    val bucketHead = new Array[Int](cnt)
-    val bucketNext = new Array[Int](cnt)
-    i = 0
-    while (i < cnt) {
-      semi(i) = i; label(i) = i; ancestor(i) = -1
-      bucketHead(i) = -1; bucketNext(i) = -1
-      i += 1
-    }
-
-    val chain = new Array[Int](cnt)
-    def eval(v0: Int): Int = {
+    private def eval(v0: Int): Int =
       if (ancestor(v0) < 0) v0
       else {
         // COMPRESS(v0): collect the chain of vertices whose grandparent in
@@ -151,41 +225,20 @@ object DominatorTree {
         }
         label(v0)
       }
-    }
-
-    var w = cnt - 1
-    while (w >= 1) {
-      val p = parent(w)
-      // Step 2: semidominator of w.
-      var j = predOff(w)
-      while (j < predOff(w + 1)) {
-        val u = eval(predSrc(j))
-        if (semi(u) < semi(w)) semi(w) = semi(u)
-        j += 1
-      }
-      bucketNext(w) = bucketHead(semi(w)); bucketHead(semi(w)) = w
-      ancestor(w) = p // LINK(parent(w), w)
-      // Step 3: implicitly define idom for the bucket of parent(w).
-      var v = bucketHead(p)
-      bucketHead(p) = -1
-      while (v >= 0) {
-        val nx = bucketNext(v)
-        val u = eval(v)
-        dom(v) = if (semi(u) < semi(v)) u else p
-        v = nx
-      }
-      w -= 1
-    }
-    // Step 4: explicit immediate dominators.
-    dom(0) = 0
-    w = 1
-    while (w < cnt) {
-      if (dom(w) != semi(w)) dom(w) = dom(dom(w))
-      w += 1
-    }
-
-    new Result(cnt, java.util.Arrays.copyOf(vertexOf, cnt), dfn, dom)
   }
+
+  /** Compute the dominator tree of the subgraph of `g` whose edges satisfy
+    * `keepEdge`, restricted to vertices reachable from `root`. The result
+    * owns its arrays.
+    */
+  def compute(g: ProbGraph, root: Int, keepEdge: Int => Boolean): Result =
+    new Workspace(g.n).compute(g, root, keepEdge)
+
+  /** As [[compute]], with the scratch state of `ws` (sized for `g.n`); the
+    * result is valid until the next call with `ws`.
+    */
+  def compute(g: ProbGraph, root: Int, keepEdge: Int => Boolean, ws: Workspace): Result =
+    ws.compute(g, root, keepEdge)
 
   /** Dominator tree of the whole graph (every edge live). */
   def computeAll(g: ProbGraph, root: Int): Result = compute(g, root, _ => true)

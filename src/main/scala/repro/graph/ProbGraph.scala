@@ -55,19 +55,38 @@ final class ProbGraph private[graph] (
       yield (u, targets(e), probs(e))
 
   /** The reverse graph (every edge flipped, probabilities preserved). */
-  def reverse: ProbGraph =
-    ProbGraph.fromEdges(n, edgeTriples.map { case (u, v, p) => (v, u, p) })
+  def reverse: ProbGraph = {
+    val b = new ProbGraph.Builder(n, m)
+    var u = 0
+    while (u < n) {
+      var e = offsets(u)
+      while (e < offsets(u + 1)) { b.add(targets(e), u, probs(e)); e += 1 }
+      u += 1
+    }
+    b.result()
+  }
 
   /** The graph after blocking `blocked` vertices: every edge incident to a
     * blocked vertex is removed (Definition 2 sets incoming probabilities to
     * 0; outgoing edges of a blocker can never fire because it is never
     * activated, so dropping both sides equals `G[V \ B]` for spread).
-    * Vertex ids are preserved.
+    * Vertex ids are preserved; edge ids are renumbered.
     */
   def blockVertices(blocked: Array[Boolean]): ProbGraph = {
     require(blocked.length == n, "blocked mask must have length n")
-    val kept = edgeTriples.filter { case (u, v, _) => !blocked(u) && !blocked(v) }
-    ProbGraph.fromEdges(n, kept)
+    val b = new ProbGraph.Builder(n, m)
+    var u = 0
+    while (u < n) {
+      if (!blocked(u)) {
+        var e = offsets(u)
+        while (e < offsets(u + 1)) {
+          if (!blocked(targets(e))) b.add(u, targets(e), probs(e))
+          e += 1
+        }
+      }
+      u += 1
+    }
+    b.result()
   }
 
   /** Same graph with probabilities replaced by `f(edgeIdx, src, dst)`. */
@@ -91,33 +110,62 @@ final class ProbGraph private[graph] (
 
 object ProbGraph {
 
+  /** Growable edge list in primitive arrays that builds a CSR graph over
+    * `n` vertices: a stable counting sort by source, so edges of one source
+    * keep their insertion order and construction is deterministic.
+    */
+  final class Builder(n: Int, sizeHint: Int) {
+    private var src = new Array[Int](math.max(sizeHint, 1))
+    private var dst = new Array[Int](src.length)
+    private var prob = new Array[Double](src.length)
+    private var m = 0
+
+    def add(u: Int, v: Int, p: Double): Unit = {
+      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range n=$n")
+      require(p >= 0.0 && p <= 1.0, s"probability $p outside [0,1] on ($u,$v)")
+      if (m == src.length) {
+        val c = 2 * m
+        src = java.util.Arrays.copyOf(src, c)
+        dst = java.util.Arrays.copyOf(dst, c)
+        prob = java.util.Arrays.copyOf(prob, c)
+      }
+      src(m) = u; dst(m) = v; prob(m) = p
+      m += 1
+    }
+
+    def result(): ProbGraph = {
+      val offsets = new Array[Int](n + 1)
+      var k = 0
+      while (k < m) { offsets(src(k) + 1) += 1; k += 1 }
+      var i = 0
+      while (i < n) { offsets(i + 1) += offsets(i); i += 1 }
+      val cursor = java.util.Arrays.copyOf(offsets, n)
+      val targets = new Array[Int](m)
+      val probs = new Array[Double](m)
+      k = 0
+      while (k < m) {
+        val pos = cursor(src(k)); cursor(src(k)) = pos + 1
+        targets(pos) = dst(k); probs(pos) = prob(k)
+        k += 1
+      }
+      new ProbGraph(n, offsets, targets, probs)
+    }
+  }
+
   /** Build a CSR graph from edge triples (any order; order within a source
     * is preserved from the input, making construction deterministic).
     */
   def fromEdges(n: Int, edges: Iterable[(Int, Int, Double)]): ProbGraph = {
-    val m = edges.size
-    val counts = new Array[Int](n + 1)
-    edges.foreach { case (u, v, p) =>
-      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range n=$n")
-      require(p >= 0.0 && p <= 1.0, s"probability $p outside [0,1] on ($u,$v)")
-      counts(u + 1) += 1
-    }
-    var i = 0
-    while (i < n) { counts(i + 1) += counts(i); i += 1 }
-    val offsets = counts.clone()
-    val targets = new Array[Int](m)
-    val probs = new Array[Double](m)
-    val cursor = counts.clone()
-    edges.foreach { case (u, v, p) =>
-      val pos = cursor(u); cursor(u) += 1
-      targets(pos) = v; probs(pos) = p
-    }
-    new ProbGraph(n, offsets, targets, probs)
+    val b = new Builder(n, math.max(edges.knownSize, 16))
+    edges.foreach { case (u, v, p) => b.add(u, v, p) }
+    b.result()
   }
 
   /** Rebuild a local CSR graph from its canonical edge DataFrame. */
   def fromDF(df: DataFrame, n: Int): ProbGraph = {
     val rows = df.select("src", "dst", "p").collect()
-    fromEdges(n, rows.toIndexedSeq.map(r => (r.getInt(0), r.getInt(1), r.getDouble(2))))
+    val b = new Builder(n, rows.length)
+    rows.foreach(r => b.add(r.getInt(0), r.getInt(1), r.getDouble(2)))
+    b.result()
   }
 }

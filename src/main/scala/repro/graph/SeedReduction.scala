@@ -42,23 +42,30 @@ object SeedReduction {
     // "miss" product to stay numerically simple.
     val missProduct = new Array[Double](g.n)
     java.util.Arrays.fill(missProduct, 1.0)
-    val touched = scala.collection.mutable.ArrayBuffer.empty[Int]
 
-    val kept = scala.collection.mutable.ArrayBuffer.empty[(Int, Int, Double)]
-    for ((u, v, p) <- g.edgeTriples) {
-      if (isSeed(u)) {
-        if (!isSeed(v)) { // seed -> non-seed folds into the s' edge
-          if (missProduct(v) == 1.0) touched += v
-          missProduct(v) *= (1.0 - p)
-        } // seed -> seed is irrelevant: seeds are already active
-      } else if (!isSeed(v)) {
-        kept += ((u, v, p)) // edges into seeds cannot change any state
+    val b = new ProbGraph.Builder(g.n + 1, g.m)
+    var u = 0
+    while (u < g.n) {
+      var e = g.offsets(u)
+      while (e < g.offsets(u + 1)) {
+        val v = g.targets(e)
+        if (isSeed(u)) {
+          // seed -> non-seed folds into the s' edge; seed -> seed is
+          // irrelevant: seeds are already active
+          if (!isSeed(v)) missProduct(v) *= (1.0 - g.probs(e))
+        } else if (!isSeed(v)) {
+          b.add(u, v, g.probs(e)) // edges into seeds cannot change any state
+        }
+        e += 1
       }
+      u += 1
     }
-    for (v <- touched.sorted) {
+    var v = 0
+    while (v < g.n) {
       val p = 1.0 - missProduct(v)
-      if (p > 0.0) kept += ((superSeed, v, p))
+      if (p > 0.0) b.add(superSeed, v, p)
+      v += 1
     }
-    Reduced(ProbGraph.fromEdges(g.n + 1, kept), superSeed, seeds)
+    Reduced(b.result(), superSeed, seeds)
   }
 }

@@ -2,7 +2,7 @@ package repro.imin
 
 import org.apache.spark.sql.SparkSession
 import repro.graph.ProbGraph
-import repro.sampling.{DeltaEstimator, TriggeringModel}
+import repro.sampling.TriggeringModel
 import repro.util.Rng
 import scala.collection.mutable.ArrayBuffer
 
@@ -11,9 +11,10 @@ import scala.collection.mutable.ArrayBuffer
   * DecreaseESComputation (sampled graphs + dominator trees, Algorithm 2)
   * on the currently blocked graph, and block the maximizer.
   *
-  * Effectiveness matches BaselineGreedy with θ = r (same sampled-world
-  * semantics, §V-C) at a per-round cost of O(θ·m·α(m,n)) instead of
-  * O(n·r·m).
+  * With θ = r and the same master seed, every round samples exactly
+  * BaselineGreedy's worlds (both key them by reduced-graph edge id and mask
+  * the blocked vertices), so by Theorem 6 AG chooses BG's blockers in BG's
+  * order (§V-C), at a per-round cost of O(θ·m·α(m,n)) instead of O(n·r·m).
   */
 object AdvancedGreedy {
 
@@ -50,22 +51,19 @@ object AdvancedGreedy {
     require(budgets.nonEmpty && budgets.forall(_ >= 1), "budgets must be positive")
     val b = budgets.max
     val (red, notSeed) = Blocking.reduced(g, seeds)
-    val rg = red.graph
-    val blocked = new Array[Boolean](rg.n)
+    val blocked = new Array[Boolean](red.graph.n)
     val order = ArrayBuffer.empty[Int]
 
-    var i = 0
-    var exhausted = false
-    while (i < b && !exhausted) {
-      val current = rg.blockVertices(blocked)
-      val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
-      val delta =
-        if (distributed) DeltaEstimator.estimate(spark, current, red.superSeed, theta, roundSeed, model)
-        else DeltaEstimator.estimateLocal(current, red.superSeed, theta, roundSeed, model)
-      val x = Blocking.argmaxDelta(delta, v => !blocked(v) && notSeed(v))
-      if (x < 0 || delta(x) <= 0.0) exhausted = true // nothing left to gain
-      else { blocked(x) = true; order += x }
-      i += 1
+    Blocking.withDeltas(spark, red.graph, red.superSeed, theta, distributed, model) { deltas =>
+      var i = 0
+      var exhausted = false
+      while (i < b && !exhausted) {
+        val delta = deltas(blocked, Rng.splitmix64(masterSeed ^ (i + 1).toLong))
+        val x = Blocking.argmaxDelta(delta, v => !blocked(v) && notSeed(v))
+        if (x < 0 || delta(x) <= 0.0) exhausted = true // nothing left to gain
+        else { blocked(x) = true; order += x }
+        i += 1
+      }
     }
     budgets.map(k => k -> order.take(k).toSeq).toMap
   }

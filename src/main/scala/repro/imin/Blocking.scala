@@ -1,6 +1,8 @@
 package repro.imin
 
+import org.apache.spark.sql.SparkSession
 import repro.graph.{ProbGraph, SeedReduction}
+import repro.sampling.{DeltaEstimator, TriggeringModel}
 
 /** Shared plumbing for the blocker-selection algorithms. */
 object Blocking {
@@ -33,4 +35,25 @@ object Blocking {
     val notSeed = (v: Int) => v != red.superSeed && !seeds.contains(v)
     (red, notSeed)
   }
+
+  /** Run `body` with the Δ estimator of one AG/GR run on the reduced graph
+    * `rg`: `deltas(blocked, roundSeed)` estimates Δ with θ samples keyed by
+    * `roundSeed` and the `blocked` vertices masked out. On the distributed
+    * path `rg` is broadcast once for the whole run; the local path gives
+    * the same numbers.
+    */
+  def withDeltas[T](
+      spark: SparkSession,
+      rg: ProbGraph,
+      root: Int,
+      theta: Int,
+      distributed: Boolean,
+      model: TriggeringModel)(body: ((Array[Boolean], Long) => Array[Double]) => T): T =
+    if (!distributed)
+      body((blocked, roundSeed) => DeltaEstimator.estimateLocal(rg, root, theta, roundSeed, model, blocked))
+    else {
+      val bc = spark.sparkContext.broadcast(rg)
+      try body((blocked, roundSeed) => DeltaEstimator.estimateOn(spark, bc, root, theta, roundSeed, model, blocked))
+      finally bc.destroy()
+    }
 }

@@ -18,17 +18,27 @@ import repro.util.Rng
   */
 object ExactBlocker extends Serializable {
 
-  /** Binomial coefficient with saturation (inputs here stay tiny). */
+  /** Binomial coefficient C(n, r), saturating at `Long.MaxValue`. */
   def choose(n: Int, r: Int): Long = {
     if (r < 0 || r > n) return 0L
-    var acc = 1L
+    var acc = 1L // C(n, i)
     var i = 0
     while (i < math.min(r, n - r)) {
-      acc = acc * (n - i) / (i + 1)
+      // C(n, i + 1) = C(n, i) * (n - i) / (i + 1) exactly; dividing by
+      // g = gcd(acc, i + 1) first leaves (i + 1) / g dividing n - i, so the
+      // only product is the result itself, and C(n, ·) grows up to n / 2.
+      val g = gcd(acc, i + 1L)
+      val hi = acc / g
+      val lo = (n - i) / ((i + 1) / g)
+      if (hi > Long.MaxValue / lo) return Long.MaxValue
+      acc = hi * lo
       i += 1
     }
     acc
   }
+
+  @scala.annotation.tailrec
+  private def gcd(a: Long, b: Long): Long = if (b == 0L) a else gcd(b, a % b)
 
   /** Colexicographic unranking: the `idx`-th `b`-subset of `0 until k`,
     * as positions into the candidate array.
@@ -83,6 +93,8 @@ object ExactBlocker extends Serializable {
     val bEff = math.min(b, candidates.length)
     require(bEff >= 1, "no blockable candidate is reachable from the seeds")
     val nCombos = choose(candidates.length, bEff)
+    require(nCombos < Long.MaxValue,
+      s"C(${candidates.length}, $bEff) blocker sets overflow a Long: too many to enumerate")
 
     def evalCombo(idx: Long, graph: ProbGraph, rs: Array[Int]): (Long, Long) = {
       val positions = unrank(idx, bEff)

@@ -2,7 +2,7 @@ package repro.imin
 
 import org.apache.spark.sql.SparkSession
 import repro.graph.ProbGraph
-import repro.sampling.{DeltaEstimator, TriggeringModel}
+import repro.sampling.TriggeringModel
 import repro.util.Rng
 import scala.collection.mutable.ArrayBuffer
 
@@ -58,49 +58,44 @@ object GreedyReplace {
     require(b >= 1, "budget must be positive")
     val (red, notSeed) = Blocking.reduced(g, seeds)
     val rg = red.graph
-    val superSeed = red.superSeed
-
-    def deltasOf(blocked: Array[Boolean], roundSeed: Long): Array[Double] = {
-      val current = rg.blockVertices(blocked)
-      if (distributed) DeltaEstimator.estimate(spark, current, superSeed, theta, roundSeed, model)
-      else DeltaEstimator.estimateLocal(current, superSeed, theta, roundSeed, model)
-    }
 
     // Candidate blockers of phase 1: the seed's out-neighbors (Line 1).
     val cb = scala.collection.mutable.LinkedHashSet.empty[Int]
-    rg.foreachOut(superSeed)((_, v, _) => cb += v)
+    rg.foreachOut(red.superSeed)((_, v, _) => cb += v)
     val blocked = new Array[Boolean](rg.n)
     val order = ArrayBuffer.empty[Int]
 
-    // Phase 1 (Lines 3-10): min(d_out, b) greedy rounds restricted to CB.
-    val rounds = math.min(cb.size, b)
-    var i = 0
-    while (i < rounds) {
-      val delta = deltasOf(blocked, Rng.splitmix64(masterSeed ^ (i + 1).toLong))
-      val x = Blocking.argmaxDelta(delta, v => cb.contains(v) && !blocked(v))
-      // x >= 0 because |CB| >= rounds; zero-delta out-neighbors are still
-      // taken, mirroring "first select b out-neighbors".
-      cb -= x
-      blocked(x) = true
-      order += x
-      i += 1
-    }
+    Blocking.withDeltas(spark, rg, red.superSeed, theta, distributed, model) { deltasOf =>
+      // Phase 1 (Lines 3-10): min(d_out, b) greedy rounds restricted to CB.
+      val rounds = math.min(cb.size, b)
+      var i = 0
+      while (i < rounds) {
+        val delta = deltasOf(blocked, Rng.splitmix64(masterSeed ^ (i + 1).toLong))
+        val x = Blocking.argmaxDelta(delta, v => cb.contains(v) && !blocked(v))
+        // x >= 0 because |CB| >= rounds; zero-delta out-neighbors are still
+        // taken, mirroring "first select b out-neighbors".
+        cb -= x
+        blocked(x) = true
+        order += x
+        i += 1
+      }
 
-    if (replace) {
-      // Phase 2 (Lines 11-20): reverse-order replacement with early exit.
-      var j = order.length - 1
-      var break = false
-      while (j >= 0 && !break) {
-        val u = order(j)
-        blocked(u) = false
-        order.remove(j)
-        val delta = deltasOf(blocked, Rng.splitmix64(masterSeed ^ 0x5deece66dL ^ (j + 1).toLong))
-        val x = Blocking.argmaxDelta(delta, v => !blocked(v) && notSeed(v))
-        val pick = if (x >= 0) x else u
-        blocked(pick) = true
-        order += pick
-        if (pick == u) break = true // Lines 18-20
-        j -= 1
+      if (replace) {
+        // Phase 2 (Lines 11-20): reverse-order replacement with early exit.
+        var j = order.length - 1
+        var break = false
+        while (j >= 0 && !break) {
+          val u = order(j)
+          blocked(u) = false
+          order.remove(j)
+          val delta = deltasOf(blocked, Rng.splitmix64(masterSeed ^ 0x5deece66dL ^ (j + 1).toLong))
+          val x = Blocking.argmaxDelta(delta, v => !blocked(v) && notSeed(v))
+          val pick = if (x >= 0) x else u
+          blocked(pick) = true
+          order += pick
+          if (pick == u) break = true // Lines 18-20
+          j -= 1
+        }
       }
     }
     order.toSeq

@@ -7,7 +7,10 @@ import repro.util.Rng
   * world keyed by `sampleSeed` keeps each edge `e` independently with
   * probability `p(e)`. Decisions are pure hashes of `(sampleSeed, e)`
   * ([[repro.util.Rng]]), so the same world is seen regardless of traversal
-  * order or blocker set — common random numbers across all algorithms.
+  * order. Every algorithm blocks by a vertex mask over one (seed-reduced)
+  * graph instead of rebuilding it, so edge ids, and the world, are also
+  * the same regardless of blocker set — common random numbers across all
+  * algorithms.
   */
 object GraphSampler {
 

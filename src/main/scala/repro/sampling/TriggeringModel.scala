@@ -29,6 +29,10 @@ object TriggeringModel {
   /** LT-style triggering: each vertex draws *at most one* incoming live edge,
     * with the edge probabilities as weights (the classic live-edge view of
     * the Linear Threshold model; weights are normalized if they sum > 1).
+    * The draw covers all in-edges, blocked sources included: a blocked
+    * vertex never activates, so an edge drawn from it is dead. That equals
+    * drawing on the graph without blocked vertices whenever in-weights sum
+    * to at most 1 (always true under WC).
     */
   case object LinearThreshold extends TriggeringModel {
     def liveEdge(g: ProbGraph, sampleSeed: Long): Int => Boolean = {

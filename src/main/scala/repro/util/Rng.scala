@@ -9,6 +9,8 @@ package repro.util
   * ExactBlocker and the estimators). A stateful `java.util.Random` stream
   * would misalign as soon as two traversals visit edges in different
   * orders, so every decision here is a pure hash of (sampleSeed, edgeId).
+  * Edge ids are those of the graph an algorithm samples (the seed-reduced
+  * graph for AG/GR/BG); blocked vertices are masked, never renumbered.
   */
 object Rng {
   private final val Golden = 0x9e3779b97f4a7c15L

@@ -144,18 +144,24 @@ class DominatorTreeSpec extends AnyFunSuite {
   }
 
   test("LT matches brute force on random subgraphs (sampled-edge predicate)") {
+    // Each world also masks a random blocked vertex set, and each trial
+    // reuses one workspace across its worlds, so stale scratch state shows.
     val rnd = new scala.util.Random(123)
     for (trial <- 1 to 30) {
       val n = 4 + rnd.nextInt(15)
       val edges = Seq.fill(3 * n)((rnd.nextInt(n), rnd.nextInt(n), 1.0)).filter(e => e._1 != e._2)
       val g = ProbGraph.fromEdges(n, edges)
-      val keepMask = Array.fill(g.m)(rnd.nextBoolean())
-      val keep = (e: Int) => keepMask(e)
-      val lt = DominatorTree.compute(g, 0, keep)
-      val bf = DominatorTree.bruteForceIdoms(g, 0, keep)
-      for (v <- 0 until n) {
-        val ltIdom = if (lt.reachable(v)) lt.idomOf(v) else -1
-        assert(ltIdom == bf(v), s"trial=$trial vertex=$v")
+      val ws = new DominatorTree.Workspace(n)
+      for (world <- 1 to 4) {
+        val keepMask = Array.fill(g.m)(rnd.nextBoolean())
+        val blocked = Array.tabulate(n)(v => v != 0 && rnd.nextInt(5) == 0)
+        val keep = (e: Int) => !blocked(g.targets(e)) && keepMask(e)
+        val lt = DominatorTree.compute(g, 0, keep, ws)
+        val bf = DominatorTree.bruteForceIdoms(g, 0, keep)
+        for (v <- 0 until n) {
+          val ltIdom = if (lt.reachable(v)) lt.idomOf(v) else -1
+          assert(ltIdom == bf(v), s"trial=$trial world=$world vertex=$v")
+        }
       }
     }
   }

@@ -1,6 +1,7 @@
 package repro.imin
 
 import repro.SparkSpec
+import repro.exp.Datasets
 import repro.graph.{ProbGraph, ToyGraph}
 import repro.spread.ExactSpread
 
@@ -33,17 +34,30 @@ class BaselineGreedySpec extends SparkSpec {
   }
 
   test("BG equals AG effectiveness on a random uncertain graph") {
+    // With θ = r and one master seed, AG samples BG's worlds in every round,
+    // so by Theorem 6 it picks BG's blockers in BG's order.
     val rnd = new scala.util.Random(55)
     val n = 12
     val edges = Seq.fill(22)((rnd.nextInt(n), rnd.nextInt(n), 0.4 + 0.6 * rnd.nextDouble()))
       .filter(e => e._1 != e._2).distinct.take(ExactSpread.MaxUncertain)
     val h = ProbGraph.fromEdges(n, edges)
     val hSeeds = Set(0)
-    val bg = BaselineGreedy.run(spark, h, hSeeds, 2, 4000, 5L, distributed = false)
-    val ag = AdvancedGreedy.run(spark, h, hSeeds, 2, 4000, 5L, distributed = false)
-    val sBg = ExactSpread.spreadWithBlockers(h, Array(0), bg)
-    val sAg = ExactSpread.spreadWithBlockers(h, Array(0), ag)
-    assert(math.abs(sBg - sAg) < 0.1, s"bg=$bg ($sBg) ag=$ag ($sAg)")
+    for (seed <- 1L to 6L) {
+      val bg = BaselineGreedy.run(spark, h, hSeeds, 3, 4000, seed, distributed = false)
+      val ag = AdvancedGreedy.run(spark, h, hSeeds, 3, 4000, seed, distributed = false)
+      assert(ag == bg, s"seed=$seed")
+    }
+  }
+
+  test("AG's blocker order equals BG's on the Wiki-Vote WC substitute") {
+    val spec = Datasets.byName("Wiki-Vote")
+    val h = Datasets.withModel(spec.graph, "WC", spec.seed)
+    val hSeeds = Datasets.randomSeeds(h, 10, 5L)
+    for (seed <- Seq(1L, 2L)) {
+      val bg = BaselineGreedy.run(spark, h, hSeeds, 6, 300, seed)
+      val ag = AdvancedGreedy.run(spark, h, hSeeds, 6, 300, seed, distributed = false)
+      assert(ag == bg, s"seed=$seed")
+    }
   }
 
   test("distributed BG equals local BG (same worlds)") {

@@ -17,6 +17,17 @@ class ExactBlockerSpec extends SparkSpec {
     assert(ExactBlocker.choose(5, 5) == 1L)
     assert(ExactBlocker.choose(25, 4) == 12650L)
     assert(ExactBlocker.choose(3, 4) == 0L)
+    assert(ExactBlocker.choose(64, 32) == 1832624140942590534L) // C(64,31)·33 overflows
+    assert(ExactBlocker.choose(66, 33) == 7219428434016265740L)
+  }
+
+  test("choose saturates past Long range and Exact rejects a saturated count") {
+    assert(ExactBlocker.choose(67, 33) == Long.MaxValue)
+    assert(ExactBlocker.choose(1000, 500) == Long.MaxValue)
+    val star = ProbGraph.fromEdges(71, (1 to 70).map(v => (0, v, 1.0)))
+    val e = intercept[IllegalArgumentException](
+      ExactBlocker.run(spark, star, Set(0), 35, 10, 1L, distributed = false))
+    assert(e.getMessage.contains("C(70, 35)"))
   }
 
   test("unrank enumerates every b-subset exactly once") {

@@ -1,6 +1,7 @@
 package repro.sampling
 
 import repro.{Oracle, SparkSpec}
+import repro.domtree.DominatorTree
 import repro.graph.{ProbGraph, SeedReduction, ToyGraph}
 import repro.spread.ExactSpread
 import repro.util.Rng
@@ -30,24 +31,27 @@ class DeltaEstimatorSpec extends SparkSpec {
   }
 
   test("Theorem 6 per sample: accumulated subtree size equals direct sigma->u") {
+    // Each world masks a random blocked set, and each trial reuses one
+    // workspace across its worlds, so stale scratch state would show.
     val rnd = new scala.util.Random(5)
     for (trial <- 1 to 20) {
       val n = 4 + rnd.nextInt(10)
       val edges = Seq.fill(3 * n)((rnd.nextInt(n), rnd.nextInt(n), 0.3 + 0.7 * rnd.nextDouble()))
         .filter(e => e._1 != e._2).take(ExactSpread.MaxUncertain)
       val h = ProbGraph.fromEdges(n, edges)
-      val sampleSeed = Rng.sampleSeed(100L + trial, 0L)
-      val acc = new Array[Double](n)
-      DeltaEstimator.accumulateSample(h, 0, sampleSeed, acc)
-      val live = GraphSampler.liveEdge(h, sampleSeed)
-      val full = GraphSampler.reachSet(h, Array(0), sampleSeed)
-      for (u <- 1 until n) {
-        val blocked = new Array[Boolean](n); blocked(u) = true
-        val without = GraphSampler.reachSet(h, Array(0), sampleSeed, blocked)
-        val sigma = full.size - without.size
-        assert(acc(u) == sigma.toDouble, s"trial=$trial u=$u")
+      val ws = new DominatorTree.Workspace(n)
+      for (world <- 0L until 4L) {
+        val sampleSeed = Rng.sampleSeed(100L + trial, world)
+        val blocked = Array.tabulate(n)(v => v != 0 && rnd.nextInt(4) == 0)
+        val acc = new Array[Double](n)
+        DeltaEstimator.accumulateSample(h, 0, sampleSeed, acc, ws, blocked = blocked)
+        val full = GraphSampler.reachSet(h, Array(0), sampleSeed, blocked)
+        for (u <- 1 until n) {
+          val more = blocked.clone(); more(u) = true
+          val sigma = full.size - GraphSampler.reachSet(h, Array(0), sampleSeed, more).size
+          assert(acc(u) == sigma.toDouble, s"trial=$trial world=$world u=$u")
+        }
       }
-      val _ = live
     }
   }
 
