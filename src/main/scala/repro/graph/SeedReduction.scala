@@ -30,10 +30,15 @@ object SeedReduction {
       seeds.size + (reducedSpread - 1.0)
   }
 
-  /** Reduce `(g, seeds)` to a single-seed instance. */
-  def reduce(g: ProbGraph, seeds: Set[Int]): Reduced = {
+  /** Reject an empty seed set and seeds that are not vertices of `g`. */
+  def requireSeeds(g: ProbGraph, seeds: Set[Int]): Unit = {
     require(seeds.nonEmpty, "seed set must be non-empty")
     seeds.foreach(s => require(s >= 0 && s < g.n, s"seed $s out of range"))
+  }
+
+  /** Reduce `(g, seeds)` to a single-seed instance. */
+  def reduce(g: ProbGraph, seeds: Set[Int]): Reduced = {
+    requireSeeds(g, seeds)
     val isSeed = new Array[Boolean](g.n)
     seeds.foreach(isSeed(_) = true)
     val superSeed = g.n

@@ -3,7 +3,8 @@ package repro.imin
 import org.apache.spark.sql.SparkSession
 import repro.graph.ProbGraph
 import repro.sampling.GraphSampler
-import repro.util.Rng
+import repro.spread.MonteCarloSpread
+import repro.util.{FanOut, Rng}
 import scala.collection.mutable.ArrayBuffer
 
 /** BaselineGreedy (Algorithm 1) — the state of the art the paper compares
@@ -20,9 +21,9 @@ object BaselineGreedy {
 
   /** Run BG and return the blocker insertion order.
     *
-    * @param distributed fan the candidate sweep out over a Spark job per
-    *                    round (one task evaluates r simulations for a slice
-    *                    of candidates)
+    * @param distributed fan each round's candidate sweep out as a Spark job
+    *                    (one task evaluates r simulations for a slice of
+    *                    candidates) over a graph broadcast once per run
     */
   def run(
       spark: SparkSession,
@@ -35,83 +36,33 @@ object BaselineGreedy {
     require(b >= 1 && r >= 1, "b and r must be positive")
     val (red, notSeed) = Blocking.reduced(g, seeds)
     val rg = red.graph
-    val superSeed = red.superSeed
+    val roots = Array(red.superSeed)
     val blocked = new Array[Boolean](rg.n)
     val order = ArrayBuffer.empty[Int]
+    // Candidates that can ever matter; others decrease nothing.
+    val support = GraphSampler.support(rg, roots)
 
-    // Candidates that can ever matter: vertices reachable from the seed in
-    // the full-support graph (p > 0 edges). Others decrease nothing.
-    val support = {
-      val vis = new Array[Boolean](rg.n)
-      val stack = new Array[Int](rg.n)
-      var sp = 0
-      vis(superSeed) = true; stack(0) = superSeed; sp = 1
-      while (sp > 0) {
-        sp -= 1
-        val u = stack(sp)
-        rg.foreachOut(u) { (_, v, p) =>
-          if (p > 0.0 && !vis(v)) { vis(v) = true; stack(sp) = v; sp += 1 }
+    FanOut(spark, rg, distributed) { fan =>
+      var i = 0
+      var exhausted = false
+      while (i < b && !exhausted) {
+        val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
+        val candidates = (0 until rg.n).filter(v => support(v) && !blocked(v) && notSeed(v)).toArray
+        if (candidates.isEmpty) exhausted = true
+        else {
+          val base = MonteCarloSpread.reachSum(rg, roots, (0L until r).iterator, roundSeed, blocked)
+          // Max decrease == min spread; candidates ascend, so the smallest
+          // index breaks ties by smallest id.
+          val (sum, k) = Blocking.minReachSum(fan, candidates.length) { (graph, k) =>
+            val mask = blocked.clone(); mask(candidates(k.toInt)) = true
+            MonteCarloSpread.reachSum(graph, roots, (0L until r).iterator, roundSeed, mask)
+          }
+          if (base - sum <= 0L) exhausted = true
+          else { val x = candidates(k.toInt); blocked(x) = true; order += x }
         }
+        i += 1
       }
-      vis
-    }
-
-    var i = 0
-    var exhausted = false
-    while (i < b && !exhausted) {
-      val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
-      val candidates = (0 until rg.n).filter(v => support(v) && !blocked(v) && notSeed(v))
-      if (candidates.isEmpty) exhausted = true
-      else {
-        val base = spreadSum(rg, superSeed, blocked, -1, r, roundSeed)
-        val sums: Map[Int, Long] =
-          if (distributed) {
-            import spark.implicits._
-            val bc = spark.sparkContext.broadcast((rg, blocked, superSeed))
-            try {
-              spark
-                .createDataset(candidates)
-                .mapPartitions { us =>
-                  val (graph, blk, root) = bc.value
-                  us.map(u => (u, spreadSum(graph, root, blk, u, r, roundSeed)))
-                }
-                .collect()
-                .toMap
-            } finally bc.destroy()
-          } else candidates.map(u => u -> spreadSum(rg, superSeed, blocked, u, r, roundSeed)).toMap
-
-        // Max decrease == min spread; deterministic tie-break by smallest id.
-        val x = candidates.minBy(u => (sums(u), u))
-        if (base - sums(x) <= 0L) exhausted = true
-        else { blocked(x) = true; order += x }
-      }
-      i += 1
     }
     order.toSeq
-  }
-
-  /** Total reach count over `r` sampled worlds with `extraBlock` also
-    * blocked (-1 for none).
-    */
-  private def spreadSum(
-      g: ProbGraph,
-      root: Int,
-      blocked: Array[Boolean],
-      extraBlock: Int,
-      r: Int,
-      roundSeed: Long): Long = {
-    val mask =
-      if (extraBlock < 0) blocked
-      else {
-        val m2 = blocked.clone(); m2(extraBlock) = true; m2
-      }
-    val roots = Array(root)
-    var sum = 0L
-    var i = 0L
-    while (i < r) {
-      sum += GraphSampler.reachCount(g, roots, Rng.sampleSeed(roundSeed, i), mask)
-      i += 1
-    }
-    sum
   }
 }

@@ -3,6 +3,7 @@ package repro.imin
 import org.apache.spark.sql.SparkSession
 import repro.graph.{ProbGraph, SeedReduction}
 import repro.sampling.{DeltaEstimator, TriggeringModel}
+import repro.util.FanOut
 
 /** Shared plumbing for the blocker-selection algorithms. */
 object Blocking {
@@ -49,11 +50,15 @@ object Blocking {
       theta: Int,
       distributed: Boolean,
       model: TriggeringModel)(body: ((Array[Boolean], Long) => Array[Double]) => T): T =
-    if (!distributed)
-      body((blocked, roundSeed) => DeltaEstimator.estimateLocal(rg, root, theta, roundSeed, model, blocked))
-    else {
-      val bc = spark.sparkContext.broadcast(rg)
-      try body((blocked, roundSeed) => DeltaEstimator.estimateOn(spark, bc, root, theta, roundSeed, model, blocked))
-      finally bc.destroy()
+    FanOut(spark, rg, distributed) { fan =>
+      body((blocked, roundSeed) => DeltaEstimator.estimateOn(fan, root, theta, roundSeed, model, blocked))
     }
+
+  /** The `(sum, id)` with the smallest reach sum over the choices `0 until
+    * count`, ties broken by smallest id, where `sumOf(value, id)` is choice
+    * `id`'s total reach over a fixed pool of sampled worlds (BG's candidate
+    * sweep, Exact's blocker-set enumeration).
+    */
+  def minReachSum[B](fan: FanOut[B], count: Long)(sumOf: (B, Long) => Long): (Long, Long) =
+    fan.reduce(count)((value, ids) => ids.map(id => (sumOf(value, id), id)).min)(Ordering[(Long, Long)].min)
 }

@@ -1,9 +1,10 @@
 package repro.imin
 
 import org.apache.spark.sql.SparkSession
-import repro.graph.ProbGraph
+import repro.graph.{ProbGraph, SeedReduction}
 import repro.sampling.GraphSampler
-import repro.util.Rng
+import repro.spread.MonteCarloSpread
+import repro.util.FanOut
 
 /** The Exact baseline of §VI-A: enumerate *every* blocker set of size `b`
   * and keep the one with the smallest expected spread.
@@ -74,21 +75,9 @@ object ExactBlocker extends Serializable {
       masterSeed: Long,
       distributed: Boolean = true): (Seq[Int], Double) = {
     require(b >= 1 && thetaEval >= 1, "b and thetaEval must be positive")
+    SeedReduction.requireSeeds(g, seeds)
     val roots = seeds.toArray.sorted
-    val support = {
-      val vis = new Array[Boolean](g.n)
-      val stack = new Array[Int](g.n)
-      var sp = 0
-      roots.foreach { s => if (!vis(s)) { vis(s) = true; stack(sp) = s; sp += 1 } }
-      while (sp > 0) {
-        sp -= 1
-        val u = stack(sp)
-        g.foreachOut(u) { (_, v, p) =>
-          if (p > 0.0 && !vis(v)) { vis(v) = true; stack(sp) = v; sp += 1 }
-        }
-      }
-      vis
-    }
+    val support = GraphSampler.support(g, roots)
     val candidates = (0 until g.n).filter(v => support(v) && !seeds.contains(v)).toArray
     val bEff = math.min(b, candidates.length)
     require(bEff >= 1, "no blockable candidate is reachable from the seeds")
@@ -96,42 +85,12 @@ object ExactBlocker extends Serializable {
     require(nCombos < Long.MaxValue,
       s"C(${candidates.length}, $bEff) blocker sets overflow a Long: too many to enumerate")
 
-    def evalCombo(idx: Long, graph: ProbGraph, rs: Array[Int]): (Long, Long) = {
-      val positions = unrank(idx, bEff)
-      val mask = new Array[Boolean](graph.n)
-      positions.foreach(p => mask(candidates(p)) = true)
-      var sum = 0L
-      var i = 0L
-      while (i < thetaEval) {
-        sum += GraphSampler.reachCount(graph, rs, Rng.sampleSeed(masterSeed, i), mask)
-        i += 1
+    val (bestSum, bestIdx) = FanOut(spark, g, distributed) { fan =>
+      Blocking.minReachSum(fan, nCombos) { (graph, idx) =>
+        val mask = Blocking.maskOf(graph.n, unrank(idx, bEff).map(candidates(_)))
+        MonteCarloSpread.reachSum(graph, roots, (0L until thetaEval).iterator, masterSeed, mask)
       }
-      (sum, idx)
     }
-
-    val (bestSum, bestIdx) =
-      if (distributed) {
-        import spark.implicits._
-        val bc = spark.sparkContext.broadcast((g, roots))
-        try {
-          spark
-            .range(nCombos)
-            .as[Long]
-            .mapPartitions { idxs =>
-              val (graph, rs) = bc.value
-              var best: (Long, Long) = null
-              idxs.foreach { idx =>
-                val r = evalCombo(idx, graph, rs)
-                if (best == null || r._1 < best._1 || (r._1 == best._1 && r._2 < best._2)) best = r
-              }
-              if (best == null) Iterator.empty else Iterator.single(best)
-            }
-            .collect()
-            .minBy(identity)
-        } finally bc.destroy()
-      } else
-        (0L until nCombos).map(evalCombo(_, g, roots)).minBy(identity)
-
     val blockers = unrank(bestIdx, bEff).map(candidates(_)).toSeq
     (blockers, bestSum.toDouble / thetaEval)
   }

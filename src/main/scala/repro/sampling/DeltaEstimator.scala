@@ -1,11 +1,9 @@
 package repro.sampling
 
-import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
-import repro.util.Rng
+import repro.util.{FanOut, Rng}
 
 /** Algorithm 2 of the paper — DecreaseESComputation.
   *
@@ -25,13 +23,12 @@ import repro.util.Rng
   * drawing on the blocked graph whenever in-weights sum to at most 1
   * (always true under WC).
   *
-  * The distributed path fans the θ samples out over a `spark.range(θ)`
-  * Dataset; each task runs the sample→dominator-tree→subtree-size kernel on
-  * the broadcast graph with one reused [[DominatorTree.Workspace]] and
-  * pre-aggregates into a partition-local Δ array, so one job is one narrow
-  * stage plus a driver-side merge. [[estimateOn]] takes a graph broadcast
-  * once per AG/GR run. [[pairsDF]] exposes the raw `(sample, vertex, size)`
-  * dataflow for the DuckDB oracle and for SQL-style aggregation.
+  * The θ samples go through a [[repro.util.FanOut]]: each partition (one
+  * holding every id when run locally) runs the sample→dominator-tree→
+  * subtree-size kernel with one reused [[DominatorTree.Workspace]] and
+  * pre-aggregates into a partition-local Δ array, so a Spark job is one
+  * narrow stage plus a merge of the collected arrays. [[estimateOn]] takes a fan-out that broadcasts the
+  * graph once per AG/GR run.
   */
 object DeltaEstimator {
 
@@ -80,16 +77,11 @@ object DeltaEstimator {
       theta: Int,
       masterSeed: Long,
       model: TriggeringModel = TriggeringModel.IndependentCascade,
-      blocked: Array[Boolean] = null): Array[Double] = {
-    require(theta >= 1, "theta must be positive")
-    val acc = sampleSum(g, root, Iterator.range(0, theta).map(_.toLong), masterSeed, model, blocked)
-    var v = 0
-    while (v < g.n) { acc(v) /= theta; v += 1 }
-    acc
-  }
+      blocked: Array[Boolean] = null): Array[Double] =
+    estimateOn(FanOut.local(g), root, theta, masterSeed, model, blocked)
 
-  /** Distributed estimate: broadcast `g`, run [[estimateOn]], destroy the
-    * broadcast. Returns Δ[u] for every vertex id.
+  /** Distributed estimate on a graph broadcast for this call alone.
+    * Returns Δ[u] for every vertex id.
     */
   def estimate(
       spark: SparkSession,
@@ -97,81 +89,28 @@ object DeltaEstimator {
       root: Int,
       theta: Int,
       masterSeed: Long,
-      model: TriggeringModel = TriggeringModel.IndependentCascade): Array[Double] = {
-    val bc = spark.sparkContext.broadcast(g)
-    try estimateOn(spark, bc, root, theta, masterSeed, model, blocked = null)
-    finally bc.destroy()
-  }
+      model: TriggeringModel = TriggeringModel.IndependentCascade): Array[Double] =
+    FanOut(spark, g, distributed = true)(estimateOn(_, root, theta, masterSeed, model, blocked = null))
 
-  /** θ samples of the broadcast graph, with `blocked` vertices (null for
-    * none) masked, fanned out over the cluster, one partition-local Δ array
-    * per task, merged on the driver. Equals [[estimateLocal]] exactly:
-    * per-world sums are integers.
+  /** θ samples of the fan-out's graph, with `blocked` vertices (null for
+    * none) masked, one Δ array per partition, summed and divided by θ.
+    * Local and Spark fan-outs agree exactly: per-world sums are integers.
     */
   def estimateOn(
-      spark: SparkSession,
-      graph: Broadcast[ProbGraph],
+      fan: FanOut[ProbGraph],
       root: Int,
       theta: Int,
       masterSeed: Long,
       model: TriggeringModel,
       blocked: Array[Boolean]): Array[Double] = {
     require(theta >= 1, "theta must be positive")
-    import spark.implicits._
-    val partials = spark
-      .range(theta)
-      .as[Long]
-      .mapPartitions { ids =>
-        if (ids.hasNext) Iterator.single(sampleSum(graph.value, root, ids, masterSeed, model, blocked))
-        else Iterator.empty
-      }
-      .collect()
-    val n = graph.value.n
-    val acc = new Array[Double](n)
-    for (p <- partials) {
+    val acc = fan.reduce(theta.toLong)((g, ids) => sampleSum(g, root, ids, masterSeed, model, blocked)) { (a, b) =>
       var v = 0
-      while (v < n) { acc(v) += p(v); v += 1 }
+      while (v < a.length) { a(v) += b(v); v += 1 }
+      a
     }
     var v = 0
-    while (v < n) { acc(v) /= theta; v += 1 }
+    while (v < acc.length) { acc(v) /= theta; v += 1 }
     acc
   }
-
-  /** Raw per-sample dataflow: `DataFrame(sample, vertex, size)` with one row
-    * per (sampled world, dominator-tree vertex). Feeds [[estimateDF]] and the
-    * DuckDB oracle tests.
-    */
-  def pairsDF(
-      spark: SparkSession,
-      g: ProbGraph,
-      root: Int,
-      theta: Int,
-      masterSeed: Long): DataFrame = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast(g)
-    spark
-      .range(theta)
-      .as[Long]
-      .flatMap { id =>
-        val graph = bc.value
-        val dt = DominatorTree.compute(graph, root, GraphSampler.liveEdge(graph, Rng.sampleSeed(masterSeed, id)))
-        val sizes = dt.subtreeSizes
-        (1 until dt.count).iterator.map(i => (id, dt.vertexOf(i), sizes(i)))
-      }
-      .toDF("sample", "vertex", "size")
-  }
-
-  /** DataFrame variant of the estimate: `(vertex, delta)` via a Spark SQL
-    * aggregation over [[pairsDF]] (vertices never reachable in any sample are
-    * absent — their Δ is 0).
-    */
-  def estimateDF(
-      spark: SparkSession,
-      g: ProbGraph,
-      root: Int,
-      theta: Int,
-      masterSeed: Long): DataFrame =
-    pairsDF(spark, g, root, theta, masterSeed)
-      .groupBy(col("vertex"))
-      .agg((sum(col("size")) / lit(theta.toDouble)).as("delta"))
 }

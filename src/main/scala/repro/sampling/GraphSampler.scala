@@ -7,10 +7,15 @@ import repro.util.Rng
   * world keyed by `sampleSeed` keeps each edge `e` independently with
   * probability `p(e)`. Decisions are pure hashes of `(sampleSeed, e)`
   * ([[repro.util.Rng]]), so the same world is seen regardless of traversal
-  * order. Every algorithm blocks by a vertex mask over one (seed-reduced)
-  * graph instead of rebuilding it, so edge ids, and the world, are also
-  * the same regardless of blocker set — common random numbers across all
-  * algorithms.
+  * order. Blocked vertices are a mask over the sampled graph, never a
+  * rebuild, so edge ids, and the world, are also the same regardless of
+  * blocker set — common random numbers between the blocker sets one
+  * algorithm compares (AG/GR/BG sample the seed-reduced graph, Exact and
+  * MCS the original one).
+  *
+  * [[reach]] is the one reachability kernel: MCS, BG and Exact count it,
+  * and the candidate filters of BG and Exact take its positive-probability
+  * [[support]].
   */
 object GraphSampler {
 
@@ -22,46 +27,18 @@ object GraphSampler {
   def edgeMask(g: ProbGraph, sampleSeed: Long): Array[Boolean] =
     Array.tabulate(g.m)(liveEdge(g, sampleSeed))
 
-  /** Number of vertices reachable from `roots` in the sampled world (σ of
-    * Table II, generalized to a root set), optionally with blocked vertices.
-    * A blocked root counts as not reachable.
+  /** Iterative DFS from `roots` over the edges `e` (probability `p`) with
+    * `keep(e, p)`, never entering a `blocked` vertex (null for none; a
+    * blocked root is not reached). Marks the reached vertices in `vis`
+    * (length `g.n`, owned by the caller, unmarked on entry) and returns
+    * how many it marked.
     */
-  def reachCount(
+  def reach(
       g: ProbGraph,
       roots: Array[Int],
-      sampleSeed: Long,
-      blocked: Array[Boolean] = null): Int = {
-    val vis = new Array[Boolean](g.n)
-    val stack = new Array[Int](g.n)
-    var sp = 0
-    var count = 0
-    var i = 0
-    while (i < roots.length) {
-      val r = roots(i)
-      if (!vis(r) && (blocked == null || !blocked(r))) {
-        vis(r) = true; count += 1; stack(sp) = r; sp += 1
-      }
-      i += 1
-    }
-    while (sp > 0) {
-      sp -= 1
-      val u = stack(sp)
-      g.foreachOut(u) { (e, v, p) =>
-        if (!vis(v) && (blocked == null || !blocked(v)) && Rng.edgeKeep(sampleSeed, e, p)) {
-          vis(v) = true; count += 1; stack(sp) = v; sp += 1
-        }
-      }
-    }
-    count
-  }
-
-  /** Reachable vertex set (test-friendly variant of [[reachCount]]). */
-  def reachSet(
-      g: ProbGraph,
-      roots: Array[Int],
-      sampleSeed: Long,
-      blocked: Array[Boolean] = null): Set[Int] = {
-    val vis = new Array[Boolean](g.n)
+      blocked: Array[Boolean],
+      keep: (Int, Double) => Boolean,
+      vis: Array[Boolean]): Int = {
     val stack = new Array[Int](g.n)
     var sp = 0
     var i = 0
@@ -70,15 +47,55 @@ object GraphSampler {
       if (!vis(r) && (blocked == null || !blocked(r))) { vis(r) = true; stack(sp) = r; sp += 1 }
       i += 1
     }
+    var count = sp
     while (sp > 0) {
       sp -= 1
       val u = stack(sp)
-      g.foreachOut(u) { (e, v, p) =>
-        if (!vis(v) && (blocked == null || !blocked(v)) && Rng.edgeKeep(sampleSeed, e, p)) {
-          vis(v) = true; stack(sp) = v; sp += 1
+      var e = g.offsets(u)
+      val end = g.offsets(u + 1)
+      while (e < end) {
+        val v = g.targets(e)
+        if (!vis(v) && (blocked == null || !blocked(v)) && keep(e, g.probs(e))) {
+          vis(v) = true; count += 1; stack(sp) = v; sp += 1
         }
+        e += 1
       }
     }
+    count
+  }
+
+  private def world(sampleSeed: Long): (Int, Double) => Boolean =
+    (e: Int, p: Double) => Rng.edgeKeep(sampleSeed, e, p)
+
+  /** Number of vertices reachable from `roots` in the sampled world (σ of
+    * Table II, generalized to a root set), optionally with blocked vertices.
+    * A blocked root counts as not reachable.
+    */
+  def reachCount(
+      g: ProbGraph,
+      roots: Array[Int],
+      sampleSeed: Long,
+      blocked: Array[Boolean] = null): Int =
+    reach(g, roots, blocked, world(sampleSeed), new Array[Boolean](g.n))
+
+  /** Reachable vertex set (test-friendly variant of [[reachCount]]). */
+  def reachSet(
+      g: ProbGraph,
+      roots: Array[Int],
+      sampleSeed: Long,
+      blocked: Array[Boolean] = null): Set[Int] = {
+    val vis = new Array[Boolean](g.n)
+    reach(g, roots, blocked, world(sampleSeed), vis)
     (0 until g.n).filter(vis).toSet
+  }
+
+  /** Vertices reachable from `roots` through positive-probability edges:
+    * every vertex some sampled world can reach. Blocking any other vertex
+    * decreases no spread.
+    */
+  def support(g: ProbGraph, roots: Array[Int]): Array[Boolean] = {
+    val vis = new Array[Boolean](g.n)
+    reach(g, roots, null, (_, p) => p > 0.0, vis)
+    vis
   }
 }

@@ -3,7 +3,7 @@ package repro.spread
 import org.apache.spark.sql.SparkSession
 import repro.graph.ProbGraph
 import repro.sampling.GraphSampler
-import repro.util.Rng
+import repro.util.{FanOut, Rng}
 
 /** Monte-Carlo Simulation (MCS) estimation of the expected spread — the
   * spread oracle of the paper's baselines [7]: each simulation keeps every
@@ -20,16 +20,8 @@ object MonteCarloSpread {
       roots: Array[Int],
       r: Int,
       masterSeed: Long,
-      blocked: Array[Boolean] = null): Double = {
-    require(r >= 1, "r must be positive")
-    var sum = 0L
-    var i = 0L
-    while (i < r) {
-      sum += GraphSampler.reachCount(g, roots, Rng.sampleSeed(masterSeed, i), blocked)
-      i += 1
-    }
-    sum.toDouble / r
-  }
+      blocked: Array[Boolean] = null): Double =
+    spreadOn(FanOut.local(g), roots, r, masterSeed, blocked)
 
   /** Distributed estimate: `r` simulations fanned out over `spark.range(r)`,
     * partition-local sums of reach counts, merged on the driver.
@@ -40,36 +32,30 @@ object MonteCarloSpread {
       roots: Array[Int],
       r: Int,
       masterSeed: Long,
-      blocked: Array[Boolean] = null): Double = {
+      blocked: Array[Boolean] = null): Double =
+    FanOut(spark, g, distributed = true)(spreadOn(_, roots, r, masterSeed, blocked))
+
+  private def spreadOn(
+      fan: FanOut[ProbGraph],
+      roots: Array[Int],
+      r: Int,
+      masterSeed: Long,
+      blocked: Array[Boolean]): Double = {
     require(r >= 1, "r must be positive")
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast((g, roots, Option(blocked)))
-    try {
-      val total = spark
-        .range(r)
-        .as[Long]
-        .mapPartitions { ids =>
-          val (graph, rs, blk) = bc.value
-          var sum = 0L
-          ids.foreach(id => sum += GraphSampler.reachCount(graph, rs, Rng.sampleSeed(masterSeed, id), blk.orNull))
-          Iterator.single(sum)
-        }
-        .collect()
-        .sum
-      total.toDouble / r
-    } finally bc.destroy()
+    fan.reduce(r.toLong)((g, ids) => reachSum(g, roots, ids, masterSeed, blocked))(_ + _).toDouble / r
   }
 
-  /** Spread after blocking `blockers`, distributed. */
-  def spreadWithBlockers(
-      spark: SparkSession,
+  /** Total reach count of `roots` over the worlds `ids` of `masterSeed`,
+    * with `blocked` vertices (null for none) masked.
+    */
+  def reachSum(
       g: ProbGraph,
       roots: Array[Int],
-      blockers: Iterable[Int],
-      r: Int,
-      masterSeed: Long): Double = {
-    val mask = new Array[Boolean](g.n)
-    blockers.foreach(mask(_) = true)
-    spread(spark, g, roots, r, masterSeed, mask)
+      ids: Iterator[Long],
+      masterSeed: Long,
+      blocked: Array[Boolean]): Long = {
+    var sum = 0L
+    ids.foreach(id => sum += GraphSampler.reachCount(g, roots, Rng.sampleSeed(masterSeed, id), blocked))
+    sum
   }
 }

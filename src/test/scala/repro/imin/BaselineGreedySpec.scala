@@ -61,9 +61,14 @@ class BaselineGreedySpec extends SparkSpec {
   }
 
   test("distributed BG equals local BG (same worlds)") {
-    val a = BaselineGreedy.run(spark, g, seeds, 2, 1000, 6L, distributed = false)
-    val b = BaselineGreedy.run(spark, g, seeds, 2, 1000, 6L, distributed = true)
-    assert(a == b)
+    // The second instance's round has one candidate (vertex 1), so most
+    // spark.range partitions are empty.
+    val one = ProbGraph.fromEdges(2, Seq((0, 1, 0.5)))
+    for ((h, hSeeds) <- Seq(g -> seeds, one -> Set(0))) {
+      val a = BaselineGreedy.run(spark, h, hSeeds, 2, 1000, 6L, distributed = false)
+      val b = BaselineGreedy.run(spark, h, hSeeds, 2, 1000, 6L, distributed = true)
+      assert(a == b)
+    }
   }
 
   test("BG stops when no candidate decreases the spread") {

@@ -70,9 +70,21 @@ class ExactBlockerSpec extends SparkSpec {
   }
 
   test("distributed Exact equals local Exact") {
-    val a = ExactBlocker.run(spark, g, seeds, 2, 1000, 4L, distributed = false)
-    val b = ExactBlocker.run(spark, g, seeds, 2, 1000, 4L, distributed = true)
-    assert(a == b)
+    // b = 8 takes all 8 candidates: C(8, 8) = 1 leaves most spark.range
+    // partitions empty.
+    for (b <- Seq(2, 8)) {
+      val local = ExactBlocker.run(spark, g, seeds, b, 1000, 4L, distributed = false)
+      val dist = ExactBlocker.run(spark, g, seeds, b, 1000, 4L, distributed = true)
+      assert(local == dist, s"b=$b")
+    }
+  }
+
+  test("Exact rejects an empty or out-of-range seed set") {
+    for ((bad, why) <- Seq(Set(-1) -> "out of range", Set(g.n) -> "out of range", Set.empty[Int] -> "non-empty")) {
+      val e = intercept[IllegalArgumentException](
+        ExactBlocker.run(spark, g, bad, 1, 10, 1L, distributed = false))
+      assert(e.getMessage.contains(why), s"seeds=$bad: ${e.getMessage}")
+    }
   }
 
   test("Exact agrees with brute-force enumeration over exact spreads on a small graph") {

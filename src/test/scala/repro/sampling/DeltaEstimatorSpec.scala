@@ -73,10 +73,13 @@ class DeltaEstimatorSpec extends SparkSpec {
   }
 
   test("distributed estimate equals the local estimate exactly (same worlds)") {
-    val local = DeltaEstimator.estimateLocal(g, ToyGraph.seed, 2000, 7L)
-    val dist = DeltaEstimator.estimate(spark, g, ToyGraph.seed, 2000, 7L)
-    for (u <- 0 until g.n)
-      assert(math.abs(local(u) - dist(u)) < 1e-9, s"u=$u local=${local(u)} dist=${dist(u)}")
+    // theta = 1 leaves most spark.range partitions empty.
+    for (theta <- Seq(2000, 1)) {
+      val local = DeltaEstimator.estimateLocal(g, ToyGraph.seed, theta, 7L)
+      val dist = DeltaEstimator.estimate(spark, g, ToyGraph.seed, theta, 7L)
+      for (u <- 0 until g.n)
+        assert(math.abs(local(u) - dist(u)) < 1e-9, s"theta=$theta u=$u local=${local(u)} dist=${dist(u)}")
+    }
   }
 
   test("estimate on a reduced multi-seed graph matches exact spread decreases") {
@@ -103,33 +106,43 @@ class DeltaEstimatorSpec extends SparkSpec {
     intercept[IllegalArgumentException](DeltaEstimator.estimate(spark, g, ToyGraph.seed, 0, 1L))
   }
 
-  test("pairsDF emits one row per reachable non-root vertex per sample") {
-    val theta = 25
-    val pairs = DeltaEstimator.pairsDF(spark, g, ToyGraph.seed, theta, 21L).collect()
-    assert(pairs.forall(_.getInt(1) != ToyGraph.seed))
-    val bySample = pairs.groupBy(_.getLong(0))
-    assert(bySample.size == theta)
-    // every sample reaches at least the 6 certain non-root vertices
-    assert(bySample.values.forall(_.length >= 6))
+  test("one sampled world credits each reachable non-root vertex and nothing else") {
+    val ws = new DominatorTree.Workspace(g.n)
+    for (id <- 0L until 25L) {
+      val sampleSeed = Rng.sampleSeed(21L, id)
+      val acc = new Array[Double](g.n)
+      DeltaEstimator.accumulateSample(g, ToyGraph.seed, sampleSeed, acc, ws)
+      val credited = acc.indices.filter(acc(_) != 0.0).toSet
+      assert(credited == GraphSampler.reachSet(g, Array(ToyGraph.seed), sampleSeed) - ToyGraph.seed, s"id=$id")
+      // every world reaches at least the 6 certain non-root vertices
+      assert(credited.size >= 6)
+    }
   }
 
-  test("estimateDF aggregation matches the DuckDB oracle") {
-    val theta = 50
-    val pairs = DeltaEstimator.pairsDF(spark, g, ToyGraph.seed, theta, 23L).cache()
-    val est = DeltaEstimator.estimateDF(spark, g, ToyGraph.seed, theta, 23L)
-    Oracle.assertEquivalent(
-      est,
-      s"SELECT vertex, SUM(CAST(size AS DOUBLE)) / $theta.0 AS delta FROM pairs GROUP BY vertex",
-      "pairs" -> pairs)
-    pairs.unpersist()
-  }
-
-  test("estimateDF agrees with the array-based estimate") {
+  test("estimateLocal equals the per-world credits averaged over theta") {
     val theta = 300
-    val df = DeltaEstimator.estimateDF(spark, g, ToyGraph.seed, theta, 29L)
-      .collect().map(r => r.getInt(0) -> r.getDouble(1)).toMap
-    val arr = DeltaEstimator.estimateLocal(g, ToyGraph.seed, theta, 29L)
-    for (u <- 0 until g.n if u != ToyGraph.seed)
-      assert(math.abs(df.getOrElse(u, 0.0) - arr(u)) < 1e-9, s"u=$u")
+    val sum = new Array[Double](g.n)
+    val ws = new DominatorTree.Workspace(g.n)
+    for (id <- 0 until theta)
+      DeltaEstimator.accumulateSample(g, ToyGraph.seed, Rng.sampleSeed(29L, id.toLong), sum, ws)
+    val local = DeltaEstimator.estimateLocal(g, ToyGraph.seed, theta, 29L)
+    for (u <- 0 until g.n)
+      assert(math.abs(sum(u) / theta - local(u)) < 1e-9, s"u=$u")
+  }
+
+  test("estimateLocal matches a DuckDB aggregation of per-world subtree sizes") {
+    import spark.implicits._
+    val theta = 50
+    val seed = 23L
+    val pairs = (0 until theta).flatMap { id =>
+      val dt = DominatorTree.compute(g, ToyGraph.seed, GraphSampler.liveEdge(g, Rng.sampleSeed(seed, id.toLong)))
+      val sizes = dt.subtreeSizes
+      (1 until dt.count).map(i => (id, dt.vertexOf(i), sizes(i)))
+    }
+    val delta = DeltaEstimator.estimateLocal(g, ToyGraph.seed, theta, seed)
+    Oracle.assertEquivalent(
+      delta.indices.filter(delta(_) != 0.0).map(u => (u, delta(u))).toDF("vertex", "delta"),
+      s"SELECT vertex, SUM(CAST(size AS DOUBLE)) / $theta.0 AS delta FROM pairs GROUP BY vertex",
+      "pairs" -> pairs.toDF("sample", "vertex", "size"))
   }
 }

@@ -33,9 +33,12 @@ class MonteCarloSpreadSpec extends SparkSpec {
   }
 
   test("distributed spread equals local spread exactly (same worlds)") {
-    val local = MonteCarloSpread.spreadLocal(g, roots, 3000, 7L)
-    val dist = MonteCarloSpread.spread(spark, g, roots, 3000, 7L)
-    assert(math.abs(local - dist) < 1e-12, s"local=$local dist=$dist")
+    // r = 1 leaves most spark.range partitions empty.
+    for (r <- Seq(3000, 1)) {
+      val local = MonteCarloSpread.spreadLocal(g, roots, r, 7L)
+      val dist = MonteCarloSpread.spread(spark, g, roots, r, 7L)
+      assert(math.abs(local - dist) < 1e-12, s"r=$r local=$local dist=$dist")
+    }
   }
 
   test("distributed spread with blockers equals local") {
@@ -46,9 +49,9 @@ class MonteCarloSpreadSpec extends SparkSpec {
     assert(math.abs(local - dist) < 1e-12)
   }
 
-  test("spreadWithBlockers helper builds the right mask") {
+  test("spread with a maskOf mask blocks every listed vertex") {
     def v(k: Int) = ToyGraph.v(k)
-    val a = MonteCarloSpread.spreadWithBlockers(spark, g, roots, Seq(v(2), v(4)), 500, 11L)
+    val a = MonteCarloSpread.spread(spark, g, roots, 500, 11L, Blocking.maskOf(g.n, Seq(v(2), v(4))))
     assert(math.abs(a - 1.0) < 1e-12) // only the seed remains
   }
 
