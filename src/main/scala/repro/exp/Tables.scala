@@ -28,9 +28,9 @@ object Tables {
     def name(v: Int) = s"v${v + 1}"
     def exact(blockers: Seq[Int]): Double = ExactSpread.spreadWithBlockers(g, Array(ToyGraph.seed), blockers)
     (for (b <- Seq(1, 2)) yield {
-      val greedy = AdvancedGreedy.run(spark, g, seeds, b, theta, seed, distributed = false)
-      val outN = GreedyReplace.outNeighborsOnly(spark, g, seeds, b, theta, seed, distributed = false)
-      val gr = GreedyReplace.run(spark, g, seeds, b, theta, seed, distributed = false)
+      val greedy = AdvancedGreedy.run(spark, g, seeds, b, theta, seed)
+      val outN = GreedyReplace.outNeighborsOnly(spark, g, seeds, b, theta, seed)
+      val gr = GreedyReplace.run(spark, g, seeds, b, theta, seed)
       Seq(
         T3Row("Greedy", b, greedy.map(name), exact(greedy)),
         T3Row("OutNeighbors", b, outN.map(name), exact(outN)),
@@ -113,7 +113,7 @@ object Tables {
           Fmt.timed(ExactBlocker.run(spark, sub, seeds, b, thetaEval, evalSeed))
         val (grBlockers, grSecs) =
           Fmt.timed(GreedyReplace.run(spark, sub, seeds, b, thetaSel,
-            Rng.splitmix64(masterSeed + 2000 + i), distributed = false))
+            Rng.splitmix64(masterSeed + 2000 + i)))
         val grSpread = MonteCarloSpread.spreadLocal(
           sub, seeds.toArray.sorted, thetaEval, evalSeed, Blocking.maskOf(sub.n, grBlockers))
         exS += exSpread; grS += grSpread; exT += exSecs; grT += grSecs

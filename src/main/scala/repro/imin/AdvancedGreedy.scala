@@ -19,10 +19,9 @@ import scala.collection.mutable.ArrayBuffer
 object AdvancedGreedy {
 
   /** Run AG and return the blocker insertion order (≤ b vertices — selection
-    * stops early once no candidate can decrease the spread).
-    *
-    * @param distributed fan the θ samples out as a Spark job per round; the
-    *                    local path is numerically identical (same seeds)
+    * stops early once no candidate can decrease the spread). Each round's θ
+    * samples run on the driver, or partly on Spark when they take longer
+    * than a Spark job ([[repro.util.FanOut]]); the blockers are the same.
     */
   def run(
       spark: SparkSession,
@@ -31,9 +30,8 @@ object AdvancedGreedy {
       b: Int,
       theta: Int,
       masterSeed: Long,
-      distributed: Boolean = true,
       model: TriggeringModel = TriggeringModel.IndependentCascade): Seq[Int] =
-    runWithCheckpoints(spark, g, seeds, Seq(b), theta, masterSeed, distributed, model)(b)
+    runWithCheckpoints(spark, g, seeds, Seq(b), theta, masterSeed, model)(b)
 
   /** Run AG once up to `budgets.max` and return the blocker prefix at every
     * requested budget (greedy selection is prefix-monotone, so one pass
@@ -46,7 +44,6 @@ object AdvancedGreedy {
       budgets: Seq[Int],
       theta: Int,
       masterSeed: Long,
-      distributed: Boolean = true,
       model: TriggeringModel = TriggeringModel.IndependentCascade): Map[Int, Seq[Int]] = {
     require(budgets.nonEmpty && budgets.forall(_ >= 1), "budgets must be positive")
     val b = budgets.max
@@ -54,7 +51,7 @@ object AdvancedGreedy {
     val blocked = new Array[Boolean](red.graph.n)
     val order = ArrayBuffer.empty[Int]
 
-    Blocking.withDeltas(spark, red.graph, red.superSeed, theta, distributed, model) { deltas =>
+    Blocking.withDeltas(spark, red.graph, red.superSeed, theta, model) { deltas =>
       var i = 0
       var exhausted = false
       while (i < b && !exhausted) {

@@ -19,11 +19,11 @@ import scala.collection.mutable.ArrayBuffer
   */
 object BaselineGreedy {
 
-  /** Run BG and return the blocker insertion order.
-    *
-    * @param distributed fan each round's candidate sweep out as a Spark job
-    *                    (one task evaluates r simulations for a slice of
-    *                    candidates) over a graph broadcast once per run
+  /** Run BG and return the blocker insertion order. Each round's candidate
+    * sweep runs on the driver until it takes longer than a Spark job, then
+    * fans the remaining candidates out over Spark (one task evaluates r
+    * simulations for a slice of candidates) on a graph broadcast at most
+    * once per run ([[repro.util.FanOut]]).
     */
   def run(
       spark: SparkSession,
@@ -31,8 +31,7 @@ object BaselineGreedy {
       seeds: Set[Int],
       b: Int,
       r: Int,
-      masterSeed: Long,
-      distributed: Boolean = true): Seq[Int] = {
+      masterSeed: Long): Seq[Int] = {
     require(b >= 1 && r >= 1, "b and r must be positive")
     val (red, notSeed) = Blocking.reduced(g, seeds)
     val rg = red.graph
@@ -42,7 +41,7 @@ object BaselineGreedy {
     // Candidates that can ever matter; others decrease nothing.
     val support = GraphSampler.support(rg, roots)
 
-    FanOut(spark, rg, distributed) { fan =>
+    FanOut(spark, rg) { fan =>
       var i = 0
       var exhausted = false
       while (i < b && !exhausted) {
@@ -53,9 +52,15 @@ object BaselineGreedy {
           val base = MonteCarloSpread.reachSum(rg, roots, (0L until r).iterator, roundSeed, blocked)
           // Max decrease == min spread; candidates ascend, so the smallest
           // index breaks ties by smallest id.
-          val (sum, k) = Blocking.minReachSum(fan, candidates.length) { (graph, k) =>
-            val mask = blocked.clone(); mask(candidates(k.toInt)) = true
-            MonteCarloSpread.reachSum(graph, roots, (0L until r).iterator, roundSeed, mask)
+          val (sum, k) = Blocking.minReachSum(fan, candidates.length) { graph =>
+            val mask = blocked.clone() // one copy per partition
+            k => {
+              val x = candidates(k.toInt)
+              mask(x) = true
+              val s = MonteCarloSpread.reachSum(graph, roots, (0L until r).iterator, roundSeed, mask)
+              mask(x) = false
+              s
+            }
           }
           if (base - sum <= 0L) exhausted = true
           else { val x = candidates(k.toInt); blocked(x) = true; order += x }

@@ -39,26 +39,29 @@ object Blocking {
 
   /** Run `body` with the Δ estimator of one AG/GR run on the reduced graph
     * `rg`: `deltas(blocked, roundSeed)` estimates Δ with θ samples keyed by
-    * `roundSeed` and the `blocked` vertices masked out. On the distributed
-    * path `rg` is broadcast once for the whole run; the local path gives
-    * the same numbers.
+    * `roundSeed` and the `blocked` vertices masked out. One fan-out serves
+    * the whole run, so `rg` is broadcast at most once, the first time a
+    * round's samples go to Spark; any split gives the same numbers.
     */
   def withDeltas[T](
       spark: SparkSession,
       rg: ProbGraph,
       root: Int,
       theta: Int,
-      distributed: Boolean,
       model: TriggeringModel)(body: ((Array[Boolean], Long) => Array[Double]) => T): T =
-    FanOut(spark, rg, distributed) { fan =>
+    FanOut(spark, rg) { fan =>
       body((blocked, roundSeed) => DeltaEstimator.estimateOn(fan, root, theta, roundSeed, model, blocked))
     }
 
   /** The `(sum, id)` with the smallest reach sum over the choices `0 until
-    * count`, ties broken by smallest id, where `sumOf(value, id)` is choice
+    * count`, ties broken by smallest id, where `sumOf(value)(id)` is choice
     * `id`'s total reach over a fixed pool of sampled worlds (BG's candidate
-    * sweep, Exact's blocker-set enumeration).
+    * sweep, Exact's blocker-set enumeration). `sumOf(value)` is called once
+    * per partition, so it can set up scratch shared by that partition's ids.
     */
-  def minReachSum[B](fan: FanOut[B], count: Long)(sumOf: (B, Long) => Long): (Long, Long) =
-    fan.reduce(count)((value, ids) => ids.map(id => (sumOf(value, id), id)).min)(Ordering[(Long, Long)].min)
+  def minReachSum[B](fan: FanOut[B], count: Long)(sumOf: B => Long => Long): (Long, Long) =
+    fan.reduce(count) { (value, ids) =>
+      val sum = sumOf(value)
+      ids.map(id => (sum(id), id)).min
+    }(Ordering[(Long, Long)].min)
 }

@@ -14,8 +14,9 @@ import repro.util.FanOut
   * comparison between candidate sets (and later against GR) is exact on the
   * sampled measure, mirroring the paper's exact-spread evaluation [39] of
   * its small extracts. The `C(candidates, b)` combinations are unranked
-  * combinatorially and fanned out over a `spark.range` of combination
-  * indices.
+  * combinatorially from their indices, which run on the driver and, once
+  * that takes longer than a Spark job, over a `spark.range` of the
+  * remaining indices ([[repro.util.FanOut]]).
   */
 object ExactBlocker extends Serializable {
 
@@ -72,8 +73,7 @@ object ExactBlocker extends Serializable {
       seeds: Set[Int],
       b: Int,
       thetaEval: Int,
-      masterSeed: Long,
-      distributed: Boolean = true): (Seq[Int], Double) = {
+      masterSeed: Long): (Seq[Int], Double) = {
     require(b >= 1 && thetaEval >= 1, "b and thetaEval must be positive")
     SeedReduction.requireSeeds(g, seeds)
     val roots = seeds.toArray.sorted
@@ -85,10 +85,16 @@ object ExactBlocker extends Serializable {
     require(nCombos < Long.MaxValue,
       s"C(${candidates.length}, $bEff) blocker sets overflow a Long: too many to enumerate")
 
-    val (bestSum, bestIdx) = FanOut(spark, g, distributed) { fan =>
-      Blocking.minReachSum(fan, nCombos) { (graph, idx) =>
-        val mask = Blocking.maskOf(graph.n, unrank(idx, bEff).map(candidates(_)))
-        MonteCarloSpread.reachSum(graph, roots, (0L until thetaEval).iterator, masterSeed, mask)
+    val (bestSum, bestIdx) = FanOut(spark, g) { fan =>
+      Blocking.minReachSum(fan, nCombos) { graph =>
+        val mask = new Array[Boolean](graph.n) // one per partition
+        idx => {
+          val set = unrank(idx, bEff).map(candidates(_))
+          set.foreach(mask(_) = true)
+          val s = MonteCarloSpread.reachSum(graph, roots, (0L until thetaEval).iterator, masterSeed, mask)
+          set.foreach(mask(_) = false)
+          s
+        }
       }
     }
     val blockers = unrank(bestIdx, bEff).map(candidates(_)).toSeq

@@ -27,9 +27,8 @@ object GreedyReplace {
       b: Int,
       theta: Int,
       masterSeed: Long,
-      distributed: Boolean = true,
       model: TriggeringModel = TriggeringModel.IndependentCascade): Seq[Int] =
-    runImpl(spark, g, seeds, b, theta, masterSeed, distributed, model, replace = true)
+    runImpl(spark, g, seeds, b, theta, masterSeed, model, replace = true)
 
   /** Phase 1 only — the "OutNeighbors" heuristic of Example 3 / Table III:
     * greedily block up to `b` out-neighbors of the seed and stop.
@@ -40,10 +39,8 @@ object GreedyReplace {
       seeds: Set[Int],
       b: Int,
       theta: Int,
-      masterSeed: Long,
-      distributed: Boolean = true): Seq[Int] =
-    runImpl(spark, g, seeds, b, theta, masterSeed, distributed,
-      TriggeringModel.IndependentCascade, replace = false)
+      masterSeed: Long): Seq[Int] =
+    runImpl(spark, g, seeds, b, theta, masterSeed, TriggeringModel.IndependentCascade, replace = false)
 
   private def runImpl(
       spark: SparkSession,
@@ -52,7 +49,6 @@ object GreedyReplace {
       b: Int,
       theta: Int,
       masterSeed: Long,
-      distributed: Boolean,
       model: TriggeringModel,
       replace: Boolean): Seq[Int] = {
     require(b >= 1, "budget must be positive")
@@ -65,7 +61,7 @@ object GreedyReplace {
     val blocked = new Array[Boolean](rg.n)
     val order = ArrayBuffer.empty[Int]
 
-    Blocking.withDeltas(spark, rg, red.superSeed, theta, distributed, model) { deltasOf =>
+    Blocking.withDeltas(spark, rg, red.superSeed, theta, model) { deltasOf =>
       // Phase 1 (Lines 3-10): min(d_out, b) greedy rounds restricted to CB.
       val rounds = math.min(cb.size, b)
       var i = 0

@@ -23,12 +23,13 @@ import repro.util.{FanOut, Rng}
   * drawing on the blocked graph whenever in-weights sum to at most 1
   * (always true under WC).
   *
-  * The θ samples go through a [[repro.util.FanOut]]: each partition (one
-  * holding every id when run locally) runs the sample→dominator-tree→
-  * subtree-size kernel with one reused [[DominatorTree.Workspace]] and
-  * pre-aggregates into a partition-local Δ array, so a Spark job is one
-  * narrow stage plus a merge of the collected arrays. [[estimateOn]] takes a fan-out that broadcasts the
-  * graph once per AG/GR run.
+  * The θ samples go through a [[repro.util.FanOut]]: each partition (the
+  * driver's prefix of the ids, or one `spark.range` partition of the rest)
+  * runs the sample→dominator-tree→subtree-size kernel with one reused
+  * [[DominatorTree.Workspace]] and pre-aggregates into a partition-local Δ
+  * array, so a Spark job is one narrow stage plus a merge of the collected
+  * arrays. [[estimateOn]] takes a fan-out that lives for a whole AG/GR run,
+  * so the graph is broadcast at most once per run.
   */
 object DeltaEstimator {
 
@@ -80,8 +81,8 @@ object DeltaEstimator {
       blocked: Array[Boolean] = null): Array[Double] =
     estimateOn(FanOut.local(g), root, theta, masterSeed, model, blocked)
 
-  /** Distributed estimate on a graph broadcast for this call alone.
-    * Returns Δ[u] for every vertex id.
+  /** Estimate with every sample on Spark, the graph broadcast for this
+    * call alone. Returns Δ[u] for every vertex id.
     */
   def estimate(
       spark: SparkSession,
@@ -90,11 +91,12 @@ object DeltaEstimator {
       theta: Int,
       masterSeed: Long,
       model: TriggeringModel = TriggeringModel.IndependentCascade): Array[Double] =
-    FanOut(spark, g, distributed = true)(estimateOn(_, root, theta, masterSeed, model, blocked = null))
+    FanOut.sparkOnly(spark, g)(estimateOn(_, root, theta, masterSeed, model, blocked = null))
 
   /** θ samples of the fan-out's graph, with `blocked` vertices (null for
     * none) masked, one Δ array per partition, summed and divided by θ.
-    * Local and Spark fan-outs agree exactly: per-world sums are integers.
+    * Every split between driver and Spark agrees exactly: per-world sums
+    * are integers.
     */
   def estimateOn(
       fan: FanOut[ProbGraph],

@@ -27,36 +27,39 @@ object GraphSampler {
   def edgeMask(g: ProbGraph, sampleSeed: Long): Array[Boolean] =
     Array.tabulate(g.m)(liveEdge(g, sampleSeed))
 
-  /** Iterative DFS from `roots` over the edges `e` (probability `p`) with
+  /** Graph search from `roots` over the edges `e` (probability `p`) with
     * `keep(e, p)`, never entering a `blocked` vertex (null for none; a
     * blocked root is not reached). Marks the reached vertices in `vis`
     * (length `g.n`, owned by the caller, unmarked on entry) and returns
-    * how many it marked.
+    * how many it marked. The work list `stack` (length ≥ `g.n`; null for
+    * a fresh one) ends holding the reached vertices in its first `count`
+    * slots, so a caller can unmark `vis` in O(count) and reuse both.
     */
   def reach(
       g: ProbGraph,
       roots: Array[Int],
       blocked: Array[Boolean],
       keep: (Int, Double) => Boolean,
-      vis: Array[Boolean]): Int = {
-    val stack = new Array[Int](g.n)
-    var sp = 0
+      vis: Array[Boolean],
+      stack: Array[Int] = null): Int = {
+    val list = if (stack == null) new Array[Int](g.n) else stack
+    var count = 0
     var i = 0
     while (i < roots.length) {
       val r = roots(i)
-      if (!vis(r) && (blocked == null || !blocked(r))) { vis(r) = true; stack(sp) = r; sp += 1 }
+      if (!vis(r) && (blocked == null || !blocked(r))) { vis(r) = true; list(count) = r; count += 1 }
       i += 1
     }
-    var count = sp
-    while (sp > 0) {
-      sp -= 1
-      val u = stack(sp)
+    var next = 0 // list(next until count) are reached but not yet expanded
+    while (next < count) {
+      val u = list(next)
+      next += 1
       var e = g.offsets(u)
       val end = g.offsets(u + 1)
       while (e < end) {
         val v = g.targets(e)
         if (!vis(v) && (blocked == null || !blocked(v)) && keep(e, g.probs(e))) {
-          vis(v) = true; count += 1; stack(sp) = v; sp += 1
+          vis(v) = true; list(count) = v; count += 1
         }
         e += 1
       }
@@ -64,7 +67,8 @@ object GraphSampler {
     count
   }
 
-  private def world(sampleSeed: Long): (Int, Double) => Boolean =
+  /** Edge test of the sampled world `sampleSeed`, in [[reach]]'s form. */
+  def world(sampleSeed: Long): (Int, Double) => Boolean =
     (e: Int, p: Double) => Rng.edgeKeep(sampleSeed, e, p)
 
   /** Number of vertices reachable from `roots` in the sampled world (σ of

@@ -23,8 +23,9 @@ object MonteCarloSpread {
       blocked: Array[Boolean] = null): Double =
     spreadOn(FanOut.local(g), roots, r, masterSeed, blocked)
 
-  /** Distributed estimate: `r` simulations fanned out over `spark.range(r)`,
-    * partition-local sums of reach counts, merged on the driver.
+  /** Estimate with every simulation on Spark: `r` simulations fanned out
+    * over `spark.range(r)`, partition-local sums of reach counts, merged on
+    * the driver.
     */
   def spread(
       spark: SparkSession,
@@ -33,7 +34,7 @@ object MonteCarloSpread {
       r: Int,
       masterSeed: Long,
       blocked: Array[Boolean] = null): Double =
-    FanOut(spark, g, distributed = true)(spreadOn(_, roots, r, masterSeed, blocked))
+    FanOut.sparkOnly(spark, g)(spreadOn(_, roots, r, masterSeed, blocked))
 
   private def spreadOn(
       fan: FanOut[ProbGraph],
@@ -46,7 +47,9 @@ object MonteCarloSpread {
   }
 
   /** Total reach count of `roots` over the worlds `ids` of `masterSeed`,
-    * with `blocked` vertices (null for none) masked.
+    * with `blocked` vertices (null for none) masked. One `vis` map and
+    * stack serve every world: `vis` is reset by walking the vertices the
+    * last world reached.
     */
   def reachSum(
       g: ProbGraph,
@@ -54,8 +57,15 @@ object MonteCarloSpread {
       ids: Iterator[Long],
       masterSeed: Long,
       blocked: Array[Boolean]): Long = {
+    val vis = new Array[Boolean](g.n)
+    val stack = new Array[Int](g.n)
     var sum = 0L
-    ids.foreach(id => sum += GraphSampler.reachCount(g, roots, Rng.sampleSeed(masterSeed, id), blocked))
+    ids.foreach { id =>
+      val count = GraphSampler.reach(g, roots, blocked, GraphSampler.world(Rng.sampleSeed(masterSeed, id)), vis, stack)
+      var i = 0
+      while (i < count) { vis(stack(i)) = false; i += 1 }
+      sum += count
+    }
     sum
   }
 }

@@ -3,6 +3,7 @@ package repro
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.util.FanOut
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -13,6 +14,12 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Run `body` with every automatic fan-out entirely on Spark. */
+  def onSpark[T](body: => T): T = FanOut.splitAt(_ => 0L)(body)
+
+  /** Run `body` with every automatic fan-out entirely on the driver. */
+  def onDriver[T](body: => T): T = FanOut.splitAt(identity)(body)
 
   override def afterAll(): Unit = { super.afterAll() }
 }

@@ -12,12 +12,12 @@ class BaselineGreedySpec extends SparkSpec {
   private def v(k: Int) = ToyGraph.v(k)
 
   test("BG blocks v5 at b=1") {
-    val b = BaselineGreedy.run(spark, g, seeds, 1, r = 3000, masterSeed = 1L, distributed = false)
+    val b = BaselineGreedy.run(spark, g, seeds, 1, r = 3000, masterSeed = 1L)
     assert(b == Seq(v(5)))
   }
 
   test("BG at b=2 matches the Greedy row of Table III") {
-    val b = BaselineGreedy.run(spark, g, seeds, 2, 3000, 2L, distributed = false)
+    val b = BaselineGreedy.run(spark, g, seeds, 2, 3000, 2L)
     assert(b.head == v(5))
     assert(b(1) == v(2) || b(1) == v(4))
     assert(math.abs(ExactSpread.spreadWithBlockers(g, Array(ToyGraph.seed), b) - 2.0) < 1e-9)
@@ -25,8 +25,8 @@ class BaselineGreedySpec extends SparkSpec {
 
   test("BG and AG choose blocker sets of equal effectiveness (paper §V-C)") {
     for (seed <- Seq(3L, 4L)) {
-      val bg = BaselineGreedy.run(spark, g, seeds, 2, 3000, seed, distributed = false)
-      val ag = AdvancedGreedy.run(spark, g, seeds, 2, 3000, seed, distributed = false)
+      val bg = BaselineGreedy.run(spark, g, seeds, 2, 3000, seed)
+      val ag = AdvancedGreedy.run(spark, g, seeds, 2, 3000, seed)
       val sBg = ExactSpread.spreadWithBlockers(g, Array(ToyGraph.seed), bg)
       val sAg = ExactSpread.spreadWithBlockers(g, Array(ToyGraph.seed), ag)
       assert(math.abs(sBg - sAg) < 0.05, s"seed=$seed bg=$bg ag=$ag")
@@ -43,8 +43,8 @@ class BaselineGreedySpec extends SparkSpec {
     val h = ProbGraph.fromEdges(n, edges)
     val hSeeds = Set(0)
     for (seed <- 1L to 6L) {
-      val bg = BaselineGreedy.run(spark, h, hSeeds, 3, 4000, seed, distributed = false)
-      val ag = AdvancedGreedy.run(spark, h, hSeeds, 3, 4000, seed, distributed = false)
+      val bg = BaselineGreedy.run(spark, h, hSeeds, 3, 4000, seed)
+      val ag = AdvancedGreedy.run(spark, h, hSeeds, 3, 4000, seed)
       assert(ag == bg, s"seed=$seed")
     }
   }
@@ -55,7 +55,7 @@ class BaselineGreedySpec extends SparkSpec {
     val hSeeds = Datasets.randomSeeds(h, 10, 5L)
     for (seed <- Seq(1L, 2L)) {
       val bg = BaselineGreedy.run(spark, h, hSeeds, 6, 300, seed)
-      val ag = AdvancedGreedy.run(spark, h, hSeeds, 6, 300, seed, distributed = false)
+      val ag = AdvancedGreedy.run(spark, h, hSeeds, 6, 300, seed)
       assert(ag == bg, s"seed=$seed")
     }
   }
@@ -65,20 +65,20 @@ class BaselineGreedySpec extends SparkSpec {
     // spark.range partitions are empty.
     val one = ProbGraph.fromEdges(2, Seq((0, 1, 0.5)))
     for ((h, hSeeds) <- Seq(g -> seeds, one -> Set(0))) {
-      val a = BaselineGreedy.run(spark, h, hSeeds, 2, 1000, 6L, distributed = false)
-      val b = BaselineGreedy.run(spark, h, hSeeds, 2, 1000, 6L, distributed = true)
+      val a = onDriver(BaselineGreedy.run(spark, h, hSeeds, 2, 1000, 6L))
+      val b = onSpark(BaselineGreedy.run(spark, h, hSeeds, 2, 1000, 6L))
       assert(a == b)
     }
   }
 
   test("BG stops when no candidate decreases the spread") {
     val h = ProbGraph.fromEdges(3, Seq((0, 1, 1.0), (1, 2, 1.0)))
-    val b = BaselineGreedy.run(spark, h, Set(0), 3, 200, 7L, distributed = false)
+    val b = BaselineGreedy.run(spark, h, Set(0), 3, 200, 7L)
     assert(b == Seq(1))
   }
 
   test("BG never blocks a seed and keeps blockers distinct") {
-    val b = BaselineGreedy.run(spark, g, seeds, 4, 500, 8L, distributed = false)
+    val b = BaselineGreedy.run(spark, g, seeds, 4, 500, 8L)
     assert(!b.contains(ToyGraph.seed))
     assert(b.distinct.size == b.size)
   }

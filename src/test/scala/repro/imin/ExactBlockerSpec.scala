@@ -26,7 +26,7 @@ class ExactBlockerSpec extends SparkSpec {
     assert(ExactBlocker.choose(1000, 500) == Long.MaxValue)
     val star = ProbGraph.fromEdges(71, (1 to 70).map(v => (0, v, 1.0)))
     val e = intercept[IllegalArgumentException](
-      ExactBlocker.run(spark, star, Set(0), 35, 10, 1L, distributed = false))
+      ExactBlocker.run(spark, star, Set(0), 35, 10, 1L))
     assert(e.getMessage.contains("C(70, 35)"))
   }
 
@@ -47,13 +47,13 @@ class ExactBlockerSpec extends SparkSpec {
   }
 
   test("Exact finds v5 at b=1 on the toy graph") {
-    val (blockers, spread) = ExactBlocker.run(spark, g, seeds, 1, 4000, 1L, distributed = false)
+    val (blockers, spread) = ExactBlocker.run(spark, g, seeds, 1, 4000, 1L)
     assert(blockers == Seq(v(5)))
     assert(math.abs(spread - 3.0) < 0.1)
   }
 
   test("Exact finds {v2, v4} at b=2 on the toy graph") {
-    val (blockers, spread) = ExactBlocker.run(spark, g, seeds, 2, 4000, 2L, distributed = false)
+    val (blockers, spread) = ExactBlocker.run(spark, g, seeds, 2, 4000, 2L)
     assert(blockers.toSet == Set(v(2), v(4)))
     assert(math.abs(spread - 1.0) < 1e-9)
   }
@@ -61,7 +61,7 @@ class ExactBlockerSpec extends SparkSpec {
   test("Exact spread is a lower bound for every heuristic (common worlds)") {
     val thetaEval = 2000
     val evalSeed = 3L
-    val (_, exSpread) = ExactBlocker.run(spark, g, seeds, 1, thetaEval, evalSeed, distributed = false)
+    val (_, exSpread) = ExactBlocker.run(spark, g, seeds, 1, thetaEval, evalSeed)
     for (u <- 0 until g.n if u != ToyGraph.seed) {
       val s = repro.spread.MonteCarloSpread.spreadLocal(
         g, Array(ToyGraph.seed), thetaEval, evalSeed, Blocking.maskOf(g.n, Seq(u)))
@@ -73,8 +73,8 @@ class ExactBlockerSpec extends SparkSpec {
     // b = 8 takes all 8 candidates: C(8, 8) = 1 leaves most spark.range
     // partitions empty.
     for (b <- Seq(2, 8)) {
-      val local = ExactBlocker.run(spark, g, seeds, b, 1000, 4L, distributed = false)
-      val dist = ExactBlocker.run(spark, g, seeds, b, 1000, 4L, distributed = true)
+      val local = onDriver(ExactBlocker.run(spark, g, seeds, b, 1000, 4L))
+      val dist = onSpark(ExactBlocker.run(spark, g, seeds, b, 1000, 4L))
       assert(local == dist, s"b=$b")
     }
   }
@@ -82,7 +82,7 @@ class ExactBlockerSpec extends SparkSpec {
   test("Exact rejects an empty or out-of-range seed set") {
     for ((bad, why) <- Seq(Set(-1) -> "out of range", Set(g.n) -> "out of range", Set.empty[Int] -> "non-empty")) {
       val e = intercept[IllegalArgumentException](
-        ExactBlocker.run(spark, g, bad, 1, 10, 1L, distributed = false))
+        ExactBlocker.run(spark, g, bad, 1, 10, 1L))
       assert(e.getMessage.contains(why), s"seeds=$bad: ${e.getMessage}")
     }
   }
@@ -91,21 +91,21 @@ class ExactBlockerSpec extends SparkSpec {
     val h = ProbGraph.fromEdges(
       6,
       Seq((0, 1, 1.0), (0, 2, 1.0), (1, 3, 0.5), (2, 3, 0.5), (3, 4, 1.0), (3, 5, 0.5)))
-    val (blockers, _) = ExactBlocker.run(spark, h, Set(0), 1, 20000, 5L, distributed = false)
+    val (blockers, _) = ExactBlocker.run(spark, h, Set(0), 1, 20000, 5L)
     val best = (1 until 6).minBy(u => (ExactSpread.spreadWithBlockers(h, Array(0), Seq(u)), u))
     assert(blockers == Seq(best))
   }
 
   test("budget larger than candidate count is clamped") {
     val h = ProbGraph.fromEdges(3, Seq((0, 1, 1.0), (1, 2, 1.0)))
-    val (blockers, spread) = ExactBlocker.run(spark, h, Set(0), 10, 100, 6L, distributed = false)
+    val (blockers, spread) = ExactBlocker.run(spark, h, Set(0), 10, 100, 6L)
     assert(blockers.toSet == Set(1, 2))
     assert(spread == 1.0)
   }
 
   test("multi-seed Exact evaluates on the original graph") {
     val h = ProbGraph.fromEdges(5, Seq((0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0)))
-    val (blockers, spread) = ExactBlocker.run(spark, h, Set(0, 1), 1, 100, 7L, distributed = false)
+    val (blockers, spread) = ExactBlocker.run(spark, h, Set(0, 1), 1, 100, 7L)
     assert(blockers == Seq(2))
     assert(spread == 2.0) // both seeds survive, everything else blocked
   }
